@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/drawer.hpp"
 
@@ -170,6 +171,17 @@ bool QuantumCircuit::has_conditionals() const {
                      [](const Operation& op) { return op.conditioned(); });
 }
 
+std::vector<Qubit> QuantumCircuit::active_qubits() const {
+  std::vector<char> touched(static_cast<std::size_t>(num_qubits_), 0);
+  for (const auto& op : ops_)
+    if (op.kind != OpKind::Barrier)
+      for (Qubit q : op.qubits) touched[static_cast<std::size_t>(q)] = 1;
+  std::vector<Qubit> active;
+  for (int q = 0; q < num_qubits_; ++q)
+    if (touched[static_cast<std::size_t>(q)]) active.push_back(q);
+  return active;
+}
+
 QuantumCircuit& QuantumCircuit::compose(const QuantumCircuit& other) {
   if (other.num_qubits_ > num_qubits_ || other.num_clbits_ > num_clbits_)
     throw std::invalid_argument("compose: other circuit is larger");
@@ -227,5 +239,16 @@ QuantumCircuit QuantumCircuit::unitary_part() const {
 }
 
 std::string QuantumCircuit::to_string() const { return draw(*this); }
+
+std::vector<Operation> ecr_as_cx(Qubit q0, Qubit q1) {
+  const auto gate = [](OpKind kind, std::vector<Qubit> qubits) {
+    Operation op;
+    op.kind = kind;
+    op.qubits = std::move(qubits);
+    return op;
+  };
+  return {gate(OpKind::X, {q0}), gate(OpKind::CX, {q0, q1}),
+          gate(OpKind::Sdg, {q0}), gate(OpKind::SXdg, {q1})};
+}
 
 }  // namespace qtc

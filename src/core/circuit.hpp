@@ -42,6 +42,11 @@ struct Operation {
   bool operator==(const Operation&) const = default;
 };
 
+/// ECR(q0, q1) = e^{i pi/4} [SXdg q1][Sdg q0] CX(q0, q1) [X q0] as gates in
+/// time order (global phase dropped): the Clifford form shared by the
+/// transpiler's decomposition and the stabilizer engines.
+std::vector<Operation> ecr_as_cx(Qubit q0, Qubit q1);
+
 class QuantumCircuit {
  public:
   QuantumCircuit() = default;
@@ -165,6 +170,9 @@ class QuantumCircuit {
   int depth() const;
   bool has_measurements() const;
   bool has_conditionals() const;
+  /// Qubits some operation other than a barrier touches, ascending. The
+  /// rest stay in |0> for the whole circuit, so a simulation may drop them.
+  std::vector<Qubit> active_qubits() const;
 
   // --- whole-circuit transforms ------------------------------------------
   /// Append all of `other`'s operations (registers must be compatible sizes).

@@ -45,9 +45,15 @@ ExecuteResult execute(const QuantumCircuit& circuit,
         map::Layout::trivial(circuit.num_qubits(), backend.num_qubits());
     result.final_layout = result.initial_layout;
   }
-  const noise::NoiseModel model = options.noise_model
-                                      ? *options.noise_model
-                                      : noise::from_backend(backend);
+  // The device model covers only the qubits the compiled circuit touches
+  // (and the couplers between them): the trajectory plan never looks
+  // further, so a wide device costs no more than a small one.
+  noise::NoiseModel device_model;
+  if (!options.noise_model)
+    device_model =
+        noise::from_backend(backend, result.compiled.active_qubits());
+  const noise::NoiseModel& model =
+      options.noise_model ? *options.noise_model : device_model;
   // Engine selection: explicit request wins; otherwise the dispatcher picks
   // from the compiled circuit's structure. Noise pins the choice to the
   // trajectory engine — the tableau and DD engines cannot apply Kraus

@@ -26,8 +26,9 @@ struct ExecuteOptions {
   /// legalize CX directions). When false the circuit must already satisfy
   /// the backend's coupling map.
   bool transpile = true;
-  /// Noise model to execute under; nullptr derives one from the backend's
-  /// calibration data (noise::from_backend).
+  /// Noise model to execute under (used in place, not copied); nullptr
+  /// derives one from the backend's calibration data, restricted to the
+  /// qubits the compiled circuit touches (noise::from_backend).
   const noise::NoiseModel* noise_model = nullptr;
   transpiler::TranspileOptions transpile_options{};
   /// Serve compilation from the global TranspileCache (when it is enabled —
@@ -60,9 +61,11 @@ struct ExecuteResult {
 };
 
 /// Compile `circuit` for `backend`, attach its noise model, and execute on
-/// the parallel trajectory engine. Counts read through the circuit's
-/// classical bits, so they are directly comparable with a logical-circuit
-/// simulation. Deterministic for a fixed seed, independent of thread count.
+/// the parallel trajectory engine at the compiled circuit's active width
+/// (see noise/trajectory.hpp), so a small job runs on any device size.
+/// Counts read through the circuit's classical bits, so they are directly
+/// comparable with a logical-circuit simulation. Deterministic for a fixed
+/// seed, independent of thread count.
 ExecuteResult execute(const QuantumCircuit& circuit,
                       const arch::Backend& backend,
                       const ExecuteOptions& options = {});

@@ -265,7 +265,7 @@ DensityMatrix DensityMatrixSimulator::evolve(const QuantumCircuit& circuit,
       throw std::invalid_argument(
           "density matrix: reset/conditioned circuits unsupported");
     rho.apply(op);
-    if (const auto channel = noise.error_for(op))
+    if (const ChannelPtr channel = noise.error_for(op))
       rho.apply_channel(*channel, op.qubits);
   }
   return rho;

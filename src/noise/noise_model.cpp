@@ -1,6 +1,8 @@
 #include "noise/noise_model.hpp"
 
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace qtc::noise {
 
@@ -10,27 +12,32 @@ void NoiseModel::add_all_qubit_error(const KrausChannel& channel,
     throw std::invalid_argument("noise: can only attach to unitary gates");
   if (channel.num_qubits != op_num_qubits(kind))
     throw std::invalid_argument("noise: channel/gate arity mismatch");
-  all_qubit_[kind] = channel;
+  all_qubit_[kind] = std::make_shared<const KrausChannel>(channel);
 }
 
 void NoiseModel::add_qubit_error(const KrausChannel& channel, OpKind kind,
                                  const std::vector<int>& qubits) {
-  if (channel.num_qubits != op_num_qubits(kind) ||
+  add_qubit_error(std::make_shared<const KrausChannel>(channel), kind, qubits);
+}
+
+void NoiseModel::add_qubit_error(ChannelPtr channel, OpKind kind,
+                                 const std::vector<int>& qubits) {
+  if (channel->num_qubits != op_num_qubits(kind) ||
       static_cast<int>(qubits.size()) != op_num_qubits(kind))
     throw std::invalid_argument("noise: channel/gate arity mismatch");
-  per_qubit_[{kind, qubits}] = channel;
+  per_qubit_[{kind, qubits}] = std::move(channel);
 }
 
 void NoiseModel::set_readout_error(int qubit, ReadoutError error) {
   readout_[qubit] = error;
 }
 
-std::optional<KrausChannel> NoiseModel::error_for(const Operation& op) const {
+ChannelPtr NoiseModel::error_for(const Operation& op) const {
   auto specific = per_qubit_.find({op.kind, op.qubits});
   if (specific != per_qubit_.end()) return specific->second;
   auto general = all_qubit_.find(op.kind);
   if (general != all_qubit_.end()) return general->second;
-  return std::nullopt;
+  return nullptr;
 }
 
 const ReadoutError* NoiseModel::readout_error(int qubit) const {
@@ -46,18 +53,25 @@ int NoiseModel::apply_readout(int qubit, int value, Rng& rng) const {
 }
 
 NoiseModel from_backend(const arch::Backend& backend) {
+  std::vector<int> all(static_cast<std::size_t>(backend.num_qubits()));
+  std::iota(all.begin(), all.end(), 0);
+  return from_backend(backend, all);
+}
+
+NoiseModel from_backend(const arch::Backend& backend,
+                        const std::vector<int>& qubits) {
   NoiseModel model;
   const auto& cal = backend.calibration();
   const auto& map = backend.coupling_map();
+  std::vector<char> selected(static_cast<std::size_t>(backend.num_qubits()), 0);
   // 1q gates: calibrated depolarizing composed with thermal relaxation over
-  // the gate duration.
-  std::vector<KrausChannel> thermal_1q;
-  for (int q = 0; q < backend.num_qubits(); ++q)
-    thermal_1q.push_back(
-        thermal_relaxation(cal.t1_us[q], cal.t2_us[q], cal.gate_time_1q_us));
-  for (int q = 0; q < backend.num_qubits(); ++q) {
-    const KrausChannel ch =
-        compose(depolarizing(cal.single_qubit_error[q]), thermal_1q[q]);
+  // the gate duration; one shared channel for every 1q kind on a qubit.
+  for (int q : qubits) {
+    selected.at(static_cast<std::size_t>(q)) = 1;
+    const ChannelPtr ch = std::make_shared<const KrausChannel>(
+        compose(depolarizing(cal.single_qubit_error[q]),
+                thermal_relaxation(cal.t1_us[q], cal.t2_us[q],
+                                   cal.gate_time_1q_us)));
     for (OpKind kind : {OpKind::U, OpKind::U2, OpKind::P, OpKind::H,
                         OpKind::X, OpKind::T, OpKind::S, OpKind::RZ,
                         OpKind::RX, OpKind::RY, OpKind::SX, OpKind::SXdg})
@@ -70,14 +84,19 @@ NoiseModel from_backend(const arch::Backend& backend) {
   // gate duration; attached in both operand orders.
   for (std::size_t e = 0; e < map.edges().size(); ++e) {
     const auto [a, b] = map.edges()[e];
+    if (!selected[static_cast<std::size_t>(a)] ||
+        !selected[static_cast<std::size_t>(b)])
+      continue;
     const double dur = e < cal.cx_duration_us.size() ? cal.cx_duration_us[e]
                                                      : cal.gate_time_cx_us;
     auto thermal_for = [&](int q) {
       return thermal_relaxation(cal.t1_us[q], cal.t2_us[q], dur);
     };
     const KrausChannel base = depolarizing2(cal.cx_error[e]);
-    const KrausChannel fwd = compose(base, tensor(thermal_for(a), thermal_for(b)));
-    const KrausChannel rev = compose(base, tensor(thermal_for(b), thermal_for(a)));
+    const ChannelPtr fwd = std::make_shared<const KrausChannel>(
+        compose(base, tensor(thermal_for(a), thermal_for(b))));
+    const ChannelPtr rev = std::make_shared<const KrausChannel>(
+        compose(base, tensor(thermal_for(b), thermal_for(a))));
     for (OpKind kind : {OpKind::CX, OpKind::ECR}) {
       model.add_qubit_error(fwd, kind, {a, b});
       model.add_qubit_error(rev, kind, {b, a});

@@ -4,7 +4,7 @@
 // physical noise processes" of the paper's Sec. III.
 
 #include <map>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "arch/backend.hpp"
@@ -20,6 +20,10 @@ struct ReadoutError {
   double p1_given_0 = 0;  // probability of reading 1 when the state is 0
 };
 
+/// Channels are immutable once attached, so gate kinds, qubit tuples and
+/// compiled plans share one copy.
+using ChannelPtr = std::shared_ptr<const KrausChannel>;
+
 class NoiseModel {
  public:
   /// Attach a channel to every occurrence of the given gate kind,
@@ -29,12 +33,15 @@ class NoiseModel {
   /// Attach a channel to a gate kind on one specific qubit tuple.
   void add_qubit_error(const KrausChannel& channel, OpKind kind,
                        const std::vector<int>& qubits);
+  void add_qubit_error(ChannelPtr channel, OpKind kind,
+                       const std::vector<int>& qubits);
   /// Classical readout error on one qubit.
   void set_readout_error(int qubit, ReadoutError error);
 
-  /// Channel that fires after this operation (empty optional = noiseless).
-  /// Specific-qubit errors take precedence over all-qubit errors.
-  std::optional<KrausChannel> error_for(const Operation& op) const;
+  /// Channel that fires after this operation (null = noiseless), shared
+  /// with the model. Specific-qubit errors take precedence over all-qubit
+  /// errors.
+  ChannelPtr error_for(const Operation& op) const;
   const ReadoutError* readout_error(int qubit) const;
   bool has_noise() const {
     return !all_qubit_.empty() || !per_qubit_.empty() || !readout_.empty();
@@ -44,14 +51,20 @@ class NoiseModel {
   int apply_readout(int qubit, int value, Rng& rng) const;
 
  private:
-  std::map<OpKind, KrausChannel> all_qubit_;
-  std::map<std::pair<OpKind, std::vector<int>>, KrausChannel> per_qubit_;
+  std::map<OpKind, ChannelPtr> all_qubit_;
+  std::map<std::pair<OpKind, std::vector<int>>, ChannelPtr> per_qubit_;
   std::map<int, ReadoutError> readout_;
 };
 
 /// Build a noise model from backend calibration data: depolarizing error on
 /// 1q gates and CX (per-edge strength), symmetric readout errors.
 NoiseModel from_backend(const arch::Backend& backend);
+/// The same model restricted to the physical `qubits`: channels and readout
+/// errors on those qubits and on the couplers with both ends among them,
+/// each identical to from_backend's. Ops of a circuit that touches only
+/// `qubits` see exactly the full model's channels.
+NoiseModel from_backend(const arch::Backend& backend,
+                        const std::vector<int>& qubits);
 
 /// Uniform test model: depolarizing p1 on all 1q gates, p2 on CX, readout r.
 NoiseModel uniform_depolarizing(double p1, double p2, double readout = 0.0);

@@ -41,8 +41,8 @@ void sample_kraus(sim::Statevector& sv, const KrausChannel& channel,
   for (std::size_t k = 0; k + 1 < nops; ++k) {
     candidate = sv;  // copy-assign reuses the scratch buffer's capacity
     candidate.apply_matrix(channel.ops[k], qubits);
-    const double p = candidate.norm() * candidate.norm();
-    acc += p;
+    const double norm = candidate.norm();
+    acc += norm * norm;
     if (r < acc) {
       candidate.normalize();
       std::swap(sv, candidate);
@@ -64,8 +64,15 @@ void flush_segment(QuantumCircuit& segment, const sim::FusionConfig& config,
   if (!fused.ops.empty()) ++plan.fused_segments;
   plan.state_sweeps += fused.state_sweeps;
   for (auto& f : fused.ops)
-    plan.steps.push_back(TrajectoryPlan::Step{std::move(f), std::nullopt});
+    plan.steps.push_back(TrajectoryPlan::Step{std::move(f), nullptr});
   segment.ops().clear();
+}
+
+/// An unconditioned measurement step: the only kind the final layer of a
+/// sample-once plan holds.
+bool is_final_measure(const TrajectoryPlan::Step& step) {
+  return step.fused.kind == sim::FusedOp::Kind::Op &&
+         step.fused.op.kind == OpKind::Measure && !step.fused.op.conditioned();
 }
 
 }  // namespace
@@ -85,20 +92,33 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
                                        const NoiseModel& noise) {
   const sim::FusionConfig config = sim::fusion_config();
   TrajectoryPlan plan;
-  plan.num_qubits = circuit.num_qubits();
+  plan.physical_qubits = circuit.active_qubits();
+  plan.num_qubits = static_cast<int>(plan.physical_qubits.size());
   plan.num_clbits = circuit.num_clbits();
-  QuantumCircuit segment(circuit.num_qubits());
-  for (const Operation& op : circuit.ops()) {
-    if (op_is_unitary(op.kind)) ++plan.source_unitary_gates;
+  std::vector<int> plan_index(static_cast<std::size_t>(circuit.num_qubits()),
+                              -1);
+  for (int i = 0; i < plan.num_qubits; ++i)
+    plan_index[static_cast<std::size_t>(plan.physical_qubits[i])] = i;
+  QuantumCircuit segment(plan.num_qubits);
+  for (const Operation& source : circuit.ops()) {
+    if (op_is_unitary(source.kind)) ++plan.source_unitary_gates;
+    Operation op = source;
+    if (op.kind == OpKind::Barrier) {
+      // Idle wires leave the plan, so a barrier keeps only its active ones.
+      std::erase_if(op.qubits, [&](Qubit q) { return plan_index[q] < 0; });
+      if (op.qubits.empty()) continue;
+    }
+    for (Qubit& q : op.qubits) q = plan_index[q];
     if (op.kind == OpKind::Barrier && !op.conditioned()) {
       // Barriers only cut fused runs; the planner drops them.
-      segment.ops().push_back(op);
+      segment.ops().push_back(std::move(op));
       continue;
     }
-    const std::optional<KrausChannel> channel =
-        op_is_unitary(op.kind) ? noise.error_for(op) : std::nullopt;
+    // Channels are keyed by the physical qubits the source op acts on.
+    ChannelPtr channel =
+        op_is_unitary(op.kind) ? noise.error_for(source) : nullptr;
     if (op_is_unitary(op.kind) && !op.conditioned() && !channel) {
-      segment.ops().push_back(op);  // noiseless: eligible for fusion
+      segment.ops().push_back(std::move(op));  // noiseless: eligible for fusion
       continue;
     }
     // Plan boundary: noisy, conditioned or non-unitary. The channel must
@@ -112,11 +132,29 @@ TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
     }
     TrajectoryPlan::Step step;
     step.fused.kind = sim::FusedOp::Kind::Op;
-    step.fused.op = op;
-    step.channel = channel;
+    step.fused.op = std::move(op);
+    step.channel = std::move(channel);
     plan.steps.push_back(std::move(step));
   }
   flush_segment(segment, config, plan);
+
+  // Sample-once holds when the steps up to the first measurement are
+  // deterministic unitaries and every step from there on is a measurement.
+  plan.sample_once = true;
+  bool measuring = false;
+  for (const TrajectoryPlan::Step& step : plan.steps) {
+    if (is_final_measure(step)) {
+      measuring = true;
+      continue;
+    }
+    const Operation& op = step.fused.op;
+    const bool passthrough = step.fused.kind == sim::FusedOp::Kind::Op;
+    if (measuring || step.channel ||
+        (passthrough && (!op_is_unitary(op.kind) || op.conditioned()))) {
+      plan.sample_once = false;
+      break;
+    }
+  }
   return plan;
 }
 
@@ -125,6 +163,11 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
   const TrajectoryPlan plan = compile_trajectory_plan(circuit, noise);
   const int ncl = plan.num_clbits;
+  // Readout errors are keyed by physical qubit, plan qubits are compacted.
+  const auto readout = [&](const Operation& measure, int value, Rng& rng) {
+    return noise.apply_readout(plan.physical_qubits[measure.qubits[0]], value,
+                               rng);
+  };
 
   // Trajectories are independent given their seed-derived RNG streams, so
   // they run in parallel; outcomes are recorded in shot order afterwards,
@@ -150,8 +193,7 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
         switch (op.kind) {
           case OpKind::Measure: {
             const int value = sv.measure(op.qubits[0], rng);
-            clbits[op.clbits[0]] =
-                noise.apply_readout(op.qubits[0], value, rng);
+            clbits[op.clbits[0]] = readout(op, value, rng);
             break;
           }
           case OpKind::Reset:
@@ -172,11 +214,50 @@ sim::Counts TrajectorySimulator::run(const QuantumCircuit& circuit,
       outcomes[s] = value;
     }
   };
-  if (trajectory_parallel())
-    parallel::parallel_for(0, static_cast<std::uint64_t>(shots), body,
-                           /*serial_cutoff=*/2);
+
+  // Sample-once: every shot shares the state before the final measurements,
+  // so simulate it once; a shot draws its basis state, then its readouts.
+  auto first_measure = plan.steps.begin();
+  std::vector<double> cdf;
+  if (plan.sample_once) {
+    sim::Statevector sv(plan.num_qubits);
+    for (; first_measure != plan.steps.end() &&
+           !is_final_measure(*first_measure);
+         ++first_measure) {
+      const sim::FusedOp& f = first_measure->fused;
+      if (f.kind == sim::FusedOp::Kind::Op)
+        sv.apply(f.op);  // noiseless passthrough (fusion off)
+      else
+        sim::apply_fused_op(sv, f);
+    }
+    cdf = sv.cumulative_probabilities();
+  }
+  const auto sample_body = [&](std::uint64_t s0, std::uint64_t s1) {
+    for (std::uint64_t s = s0; s < s1; ++s) {
+      Rng rng(derive_stream_seed(seed_, s));
+      const std::uint64_t basis = sim::sample_cdf(cdf, rng.uniform());
+      std::uint64_t value = 0;
+      for (auto it = first_measure; it != plan.steps.end(); ++it) {
+        const Operation& op = it->fused.op;
+        const std::uint64_t bit = std::uint64_t{1} << op.clbits[0];
+        const int measured = static_cast<int>((basis >> op.qubits[0]) & 1);
+        value = readout(op, measured, rng) ? value | bit : value & ~bit;
+      }
+      outcomes[s] = value;
+    }
+  };
+
+  const auto run_shots = [&](const auto& shot_range) {
+    if (trajectory_parallel())
+      parallel::parallel_for(0, static_cast<std::uint64_t>(shots), shot_range,
+                             /*serial_cutoff=*/2);
+    else
+      shot_range(0, static_cast<std::uint64_t>(shots));
+  };
+  if (plan.sample_once)
+    run_shots(sample_body);
   else
-    body(0, static_cast<std::uint64_t>(shots));
+    run_shots(body);
 
   sim::Counts counts;
   for (int s = 0; s < shots; ++s)

@@ -18,13 +18,25 @@
 // sees the same stream no matter how many shots are requested or in which
 // order they execute.
 //
+// The plan runs at the circuit's logical width: it is relabeled onto the
+// qubits the circuit actually touches (QuantumCircuit::active_qubits, in
+// ascending order), so a 5-qubit job compiled for a 127-qubit device
+// simulates 5 qubits. Idle qubits stay in |0> and no channel ever acts on
+// them, so dropping them is exact; channels and readout errors are looked
+// up by the physical qubits, and counts are keyed by clbits.
+//
+// When nothing random happens before the final measurements (no channel,
+// reset or condition, and only measurements after the first one — e.g. a
+// noiseless run, or readout-only noise), the state is simulated once and
+// each shot draws its basis state from the cumulative distribution with its
+// own stream, then applies its readout flips.
+//
 // Knobs: QTC_TRAJ_PARALLEL (on by default; "0"/"off"/"false"/"no" keeps the
 // shot loop serial so amplitude-level kernel parallelism gets the whole
 // pool) plus the shared QTC_FUSION / QTC_FUSION_MAX_QUBITS and
 // QTC_NUM_THREADS. All fallbacks are bitwise passthroughs.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/circuit.hpp"
@@ -50,11 +62,17 @@ struct TrajectoryPlan {
   struct Step {
     sim::FusedOp fused;  // Kind != Op: fused kernel; Kind::Op: IR passthrough
     /// Channel sampled after the passthrough op executes (noisy gates only).
-    std::optional<KrausChannel> channel;
+    ChannelPtr channel;
   };
-  std::vector<Step> steps;
-  int num_qubits = 0;
+  std::vector<Step> steps;  // qubits relabeled to plan indices
+  int num_qubits = 0;       // simulated width: the active qubit count
   int num_clbits = 0;
+  /// Plan qubit i is physical qubit physical_qubits[i] of the source
+  /// circuit (ascending); readout errors are keyed by the physical index.
+  std::vector<int> physical_qubits;
+  /// Nothing random precedes the final measurements: simulate once, then
+  /// sample every shot from the final state (see file header).
+  bool sample_once = false;
   // Planning statistics (the bench artifact):
   int source_unitary_gates = 0;  // unitary gate count of the source circuit
   int noisy_gates = 0;           // gates with an attached Kraus channel
@@ -62,9 +80,10 @@ struct TrajectoryPlan {
   int state_sweeps = 0;          // unitary passes over the amplitude array
 };
 
-/// Compile `circuit` against `noise` using the active fusion configuration.
-/// With fusion disabled every operation passes through unchanged,
-/// reproducing gate-by-gate dispatch bit for bit.
+/// Compile `circuit` against `noise` using the active fusion configuration,
+/// relabeled onto the circuit's active qubits. With fusion disabled every
+/// operation passes through unchanged (up to that relabeling), reproducing
+/// gate-by-gate dispatch bit for bit.
 TrajectoryPlan compile_trajectory_plan(const QuantumCircuit& circuit,
                                        const NoiseModel& noise);
 

@@ -24,10 +24,10 @@ bool env_dispatch_enabled() {
   return !(v == "0" || v == "off" || v == "false" || v == "no");
 }
 
-// The Clifford gate-set predicate is sim::is_clifford_kind (stabilizer.hpp)
-// — the same source of truth the tableau engine itself checks against, so a
-// new Clifford opcode can't silently diverge the dispatcher's profile from
-// what the engine accepts.
+// The Clifford predicate is sim::is_clifford_op (stabilizer.hpp) — the same
+// source of truth StabilizerSimulator checks against, so a new Clifford form
+// can't silently diverge the dispatcher's profile from what the engine
+// accepts.
 
 // One counter slot per Engine value (Auto never runs, but indexing by the
 // enum keeps the bookkeeping trivial).
@@ -66,6 +66,7 @@ void set_dispatch_enabled(int enabled) {
 CircuitProfile profile_circuit(const QuantumCircuit& circuit) {
   CircuitProfile p;
   p.num_qubits = circuit.num_qubits();
+  p.active_qubits = static_cast<int>(circuit.active_qubits().size());
   std::vector<bool> measured(static_cast<std::size_t>(circuit.num_qubits()),
                              false);
   for (const Operation& op : circuit.ops()) {
@@ -88,7 +89,7 @@ CircuitProfile profile_circuit(const QuantumCircuit& circuit) {
     if (op_is_unitary(op.kind)) {
       ++p.unitary_gates;
       if (op.qubits.size() >= 2) ++p.entangling_gates;
-      if (!is_clifford_kind(op.kind)) p.clifford_only = false;
+      if (!is_clifford_op(op)) p.clifford_only = false;
     }
     for (Qubit q : op.qubits)
       if (measured[static_cast<std::size_t>(q)]) p.measurements_final = false;
@@ -100,9 +101,9 @@ DispatchDecision choose_engine(const CircuitProfile& p) {
   if (p.clifford_only && p.unitary_gates > 0)
     return {Engine::Stabilizer, "clifford-only gate set"};
   if (p.dd_compatible()) {
-    if (p.num_qubits > 26)
+    if (p.active_qubits > 26)
       return {Engine::DecisionDiagram, "beyond array-engine capacity"};
-    if (p.entangling_gates <= 2 * p.num_qubits && p.num_qubits >= 8)
+    if (p.entangling_gates <= 2 * p.active_qubits && p.active_qubits >= 8)
       return {Engine::DecisionDiagram, "sparse entanglement structure"};
   }
   return {Engine::Statevector, "general circuit"};

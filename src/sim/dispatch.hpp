@@ -37,12 +37,16 @@ bool dispatch_enabled();
 /// Force dispatch on (1) / off (0); -1 restores the env/default behavior.
 void set_dispatch_enabled(int enabled);
 
-/// Structural facts the decision tree consumes, in one pass over the ops.
+/// Structural facts the decision tree consumes, read off the ops.
 struct CircuitProfile {
   int num_qubits = 0;
+  /// Qubits some non-barrier op touches: the width the array engine
+  /// simulates after compaction, so the decisions below read this, not the
+  /// device width a transpiled circuit carries.
+  int active_qubits = 0;
   int unitary_gates = 0;
   int entangling_gates = 0;  // unitary gates on >= 2 qubits
-  bool clifford_only = true;  // every unitary gate in the stabilizer set
+  bool clifford_only = true;  // every unitary gate passes is_clifford_op
   bool has_reset = false;
   bool has_conditionals = false;
   bool has_measurements = false;
@@ -72,7 +76,7 @@ struct DispatchDecision {
 ///   1. Clifford-only gate set -> Stabilizer (polynomial time, any size).
 ///   2. DD-compatible and structured (entangling gates <= 2n, i.e. sparse
 ///      enough that the DD plausibly stays compact) or too large for the
-///      array engine (n > 26) -> DecisionDiagram.
+///      array engine (n > 26) -> DecisionDiagram. n is the active width.
 ///   3. Otherwise -> Statevector.
 DispatchDecision choose_engine(const CircuitProfile& profile);
 DispatchDecision choose_engine(const QuantumCircuit& circuit);

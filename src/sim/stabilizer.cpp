@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -35,12 +36,60 @@ bool is_clifford_kind(OpKind kind) {
   }
 }
 
+namespace {
+
+/// k in {0, 1, 2, 3} when `angle` is k*pi/2 modulo 2*pi within
+/// kCliffordAngleTol, else -1.
+int quarter_turns(double angle) {
+  const double k = std::round(angle / (PI / 2));
+  if (!(std::abs(angle - k * (PI / 2)) <= kCliffordAngleTol)) return -1;
+  const int m = static_cast<int>(std::fmod(k, 4.0));
+  return m < 0 ? m + 4 : m;
+}
+
+bool is_z_rotation(OpKind kind) {
+  return kind == OpKind::RZ || kind == OpKind::P;
+}
+
+}  // namespace
+
+bool is_clifford_op(const Operation& op) {
+  if (is_clifford_kind(op.kind) || op.kind == OpKind::ECR) return true;
+  return is_z_rotation(op.kind) && quarter_turns(op.params[0]) >= 0;
+}
+
 bool is_clifford_circuit(const QuantumCircuit& circuit) {
   for (const auto& op : circuit.ops()) {
     if (!op_is_unitary(op.kind)) continue;
-    if (!is_clifford_kind(op.kind)) return false;
+    if (!is_clifford_op(op)) return false;
   }
   return true;
+}
+
+QuantumCircuit to_tableau_gates(const QuantumCircuit& circuit) {
+  std::vector<Operation> ops;
+  ops.reserve(circuit.ops().size());
+  for (const Operation& op : circuit.ops()) {
+    if (op.kind == OpKind::ECR) {
+      for (Operation& g : ecr_as_cx(op.qubits[0], op.qubits[1])) {
+        g.cond_reg = op.cond_reg;
+        g.cond_val = op.cond_val;
+        ops.push_back(std::move(g));
+      }
+      continue;
+    }
+    const int k = is_z_rotation(op.kind) ? quarter_turns(op.params[0]) : -1;
+    if (k == 0) continue;  // identity up to global phase
+    ops.push_back(op);
+    if (k > 0) {
+      constexpr OpKind kPowers[] = {OpKind::S, OpKind::Z, OpKind::Sdg};
+      ops.back().kind = kPowers[k - 1];
+      ops.back().params.clear();
+    }
+  }
+  QuantumCircuit out = circuit;
+  out.ops() = std::move(ops);
+  return out;
 }
 
 // --- legacy byte-per-bit tableau (differential oracle) -----------------------
@@ -574,6 +623,11 @@ Counts StabilizerSimulator::run(const QuantumCircuit& circuit, int shots) {
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
   if (!is_clifford_circuit(circuit))
     throw std::invalid_argument("stabilizer: circuit is not Clifford");
+  const bool native = std::all_of(
+      circuit.ops().begin(), circuit.ops().end(), [](const Operation& op) {
+        return !op_is_unitary(op.kind) || is_clifford_kind(op.kind);
+      });
+  if (!native) return run(to_tableau_gates(circuit), shots);
   if (!stab_packed_enabled())
     return run_per_shot<StabilizerState>(circuit, seed_, shots);
   for (const auto& op : circuit.ops())

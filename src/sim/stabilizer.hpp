@@ -43,15 +43,29 @@
 
 namespace qtc::sim {
 
-/// True when `kind` is in the tableau engines' Clifford gate set
-/// {I,X,Y,Z,H,S,Sdg,SX,SXdg,CX,CY,CZ,SWAP}. The single source of truth
-/// shared by is_clifford_circuit, StabilizerState::apply and the engine
-/// dispatcher's circuit profile — a new Clifford opcode lands everywhere by
-/// extending this one predicate.
+/// True when `kind` is in the tableau engines' native gate set
+/// {I,X,Y,Z,H,S,Sdg,SX,SXdg,CX,CY,CZ,SWAP}, the set StabilizerState::apply
+/// and PackedStabilizerState::apply accept.
 bool is_clifford_kind(OpKind kind);
 
-/// True when every unitary gate in the circuit satisfies is_clifford_kind.
+/// Largest distance from a multiple of pi/2 at which an RZ/P angle still
+/// counts as Clifford.
+inline constexpr double kCliffordAngleTol = 1e-9;
+
+/// True when `op` is a Clifford gate: a native kind, an ECR, or an RZ/P whose
+/// angle is a multiple of pi/2 (within kCliffordAngleTol). The single source
+/// of truth shared by is_clifford_circuit, StabilizerSimulator and the engine
+/// dispatcher's circuit profile, so the ECR/RZ/SX output of a heavy-hex
+/// transpile is recognized everywhere at once.
+bool is_clifford_op(const Operation& op);
+
+/// True when every unitary gate in the circuit satisfies is_clifford_op.
 bool is_clifford_circuit(const QuantumCircuit& circuit);
+
+/// `circuit` over the tableaus' native gate set: ECR through ecr_as_cx,
+/// RZ/P at k*pi/2 as nothing/S/Z/Sdg (global phases dropped); every other
+/// op is copied. Conditions carry over to the rewritten gates.
+QuantumCircuit to_tableau_gates(const QuantumCircuit& circuit);
 
 /// The CHP tableau over n qubits: n destabilizer rows then n stabilizer
 /// rows, each a Pauli string (x/z bit per qubit) with a sign bit. Legacy
@@ -228,7 +242,8 @@ void set_stab_packed(int enabled);
 /// fresh simulators with the same seed are bitwise reproducible; the shot
 /// loop parallelizes on core/parallel.hpp. Unconditioned circuits sample
 /// all shots from one symbolic tableau pass (see file header); conditioned
-/// circuits replay the tableau per shot.
+/// circuits replay the tableau per shot. Accepts every is_clifford_circuit
+/// and runs it through to_tableau_gates first.
 class StabilizerSimulator {
  public:
   explicit StabilizerSimulator(std::uint64_t seed = 0xC0FFEE) : seed_(seed) {}

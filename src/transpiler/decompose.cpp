@@ -134,12 +134,8 @@ bool expand(const Operation& op, std::vector<Operation>& out) {
       out.push_back(make(OpKind::H, {q[1]}));
       return true;
     case OpKind::ECR:
-      // ECR(q0, q1) = e^{i pi/4} [SXdg q1][Sdg q0] CX(q0, q1) [X q0]
-      // (global phase dropped, like the other phase-normalized rewrites).
-      out.push_back(make(OpKind::X, {q[0]}));
-      out.push_back(make(OpKind::CX, {q[0], q[1]}));
-      out.push_back(make(OpKind::Sdg, {q[0]}));
-      out.push_back(make(OpKind::SXdg, {q[1]}));
+      // Global phase dropped, like the other phase-normalized rewrites.
+      for (Operation& g : ecr_as_cx(q[0], q[1])) out.push_back(std::move(g));
       return true;
     case OpKind::CCX:
       ccx_network(q[0], q[1], q[2], out);

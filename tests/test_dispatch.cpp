@@ -60,6 +60,14 @@ TEST(Dispatch, ProfileSeesStructure) {
   EXPECT_TRUE(p.has_measurements);
   EXPECT_TRUE(p.measurements_final);
   EXPECT_TRUE(p.dd_compatible());
+
+  // A device-wide barrier touches no wire: the active width stays 3.
+  QuantumCircuit wide(40, 3);
+  wide.h(0).cx(0, 1).t(2).barrier().measure(0, 0).measure(1, 1).measure(2, 2);
+  const sim::CircuitProfile w = sim::profile_circuit(wide);
+  EXPECT_EQ(w.num_qubits, 40);
+  EXPECT_EQ(w.active_qubits, 3);
+  EXPECT_EQ(sim::choose_engine(w).engine, Engine::Statevector);
 }
 
 TEST(Dispatch, MidCircuitMeasurementIsNeverDDEligible) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "arch/backend.hpp"
 #include "sim/simulator.hpp"
@@ -15,29 +16,38 @@ namespace {
 
 // --- channels ---------------------------------------------------------------
 
-class CptpChannelTest
-    : public ::testing::TestWithParam<std::pair<const char*, KrausChannel>> {};
+struct NamedChannel {
+  const char* name;
+  KrausChannel channel;
+};
+
+// Prints the case by name only. The default printer shows the name's address
+// and the channel's raw bytes, which differ from build to build and would
+// leak into the test names CTest discovers.
+void PrintTo(const NamedChannel& c, std::ostream* os) { *os << c.name; }
+
+class CptpChannelTest : public ::testing::TestWithParam<NamedChannel> {};
 
 TEST_P(CptpChannelTest, IsTracePreserving) {
-  EXPECT_TRUE(is_cptp(GetParam().second)) << GetParam().first;
+  EXPECT_TRUE(is_cptp(GetParam().channel)) << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllChannels, CptpChannelTest,
     ::testing::Values(
-        std::make_pair("identity", identity_channel()),
-        std::make_pair("depolarizing", depolarizing(0.1)),
-        std::make_pair("depolarizing_full", depolarizing(1.0)),
-        std::make_pair("depolarizing2", depolarizing2(0.08)),
-        std::make_pair("bit_flip", bit_flip(0.2)),
-        std::make_pair("phase_flip", phase_flip(0.3)),
-        std::make_pair("bit_phase_flip", bit_phase_flip(0.15)),
-        std::make_pair("amplitude_damping", amplitude_damping(0.25)),
-        std::make_pair("phase_damping", phase_damping(0.4)),
-        std::make_pair("thermal", thermal_relaxation(50, 40, 1.0)),
-        std::make_pair("composed",
-                       compose(amplitude_damping(0.1), phase_flip(0.05)))),
-    [](const auto& info) { return info.param.first; });
+        NamedChannel{"identity", identity_channel()},
+        NamedChannel{"depolarizing", depolarizing(0.1)},
+        NamedChannel{"depolarizing_full", depolarizing(1.0)},
+        NamedChannel{"depolarizing2", depolarizing2(0.08)},
+        NamedChannel{"bit_flip", bit_flip(0.2)},
+        NamedChannel{"phase_flip", phase_flip(0.3)},
+        NamedChannel{"bit_phase_flip", bit_phase_flip(0.15)},
+        NamedChannel{"amplitude_damping", amplitude_damping(0.25)},
+        NamedChannel{"phase_damping", phase_damping(0.4)},
+        NamedChannel{"thermal", thermal_relaxation(50, 40, 1.0)},
+        NamedChannel{"composed",
+                     compose(amplitude_damping(0.1), phase_flip(0.05))}),
+    [](const auto& info) { return info.param.name; });
 
 TEST(Channel, BadProbabilityThrows) {
   EXPECT_THROW(depolarizing(-0.1), std::invalid_argument);
@@ -105,7 +115,7 @@ TEST(NoiseModel, FromBackendIncludesThermalRelaxation) {
   x.kind = OpKind::X;
   x.qubits = {0};
   const auto ch = model.error_for(x);
-  ASSERT_TRUE(ch.has_value());
+  ASSERT_NE(ch, nullptr);
   // Amplitude damping breaks unital symmetry: Lambda(|1><1|) keeps less
   // excited-state population than Lambda(|0><0|) keeps ground population.
   DensityMatrix excited(std::vector<cplx>{0, 1});
@@ -125,9 +135,9 @@ TEST(NoiseModel, AllQubitErrorMatchesEveryOperand) {
   Operation op;
   op.kind = OpKind::H;
   op.qubits = {3};
-  EXPECT_TRUE(model.error_for(op).has_value());
+  EXPECT_NE(model.error_for(op), nullptr);
   op.kind = OpKind::X;
-  EXPECT_FALSE(model.error_for(op).has_value());
+  EXPECT_EQ(model.error_for(op), nullptr);
 }
 
 TEST(NoiseModel, SpecificQubitErrorTakesPrecedence) {
@@ -138,7 +148,7 @@ TEST(NoiseModel, SpecificQubitErrorTakesPrecedence) {
   op.kind = OpKind::H;
   op.qubits = {2};
   const auto ch = model.error_for(op);
-  ASSERT_TRUE(ch.has_value());
+  ASSERT_NE(ch, nullptr);
   // p = 0.9 channel has sqrt(0.1) on the identity Kraus op.
   EXPECT_NEAR(ch->ops[0](0, 0).real(), std::sqrt(0.1), 1e-12);
 }
@@ -168,15 +178,15 @@ TEST(NoiseModel, FromBackendCoversGatesAndReadout) {
   Operation h;
   h.kind = OpKind::H;
   h.qubits = {0};
-  EXPECT_TRUE(model.error_for(h).has_value());
+  EXPECT_NE(model.error_for(h), nullptr);
   Operation cx;
   cx.kind = OpKind::CX;
   cx.qubits = {3, 2};  // native edge
-  EXPECT_TRUE(model.error_for(cx).has_value());
+  EXPECT_NE(model.error_for(cx), nullptr);
   cx.qubits = {2, 3};  // reversed orientation also noisy
-  EXPECT_TRUE(model.error_for(cx).has_value());
+  EXPECT_NE(model.error_for(cx), nullptr);
   cx.qubits = {0, 4};  // not a coupled pair: no specific error registered
-  EXPECT_FALSE(model.error_for(cx).has_value());
+  EXPECT_EQ(model.error_for(cx), nullptr);
   EXPECT_NE(model.readout_error(0), nullptr);
 }
 
