@@ -14,6 +14,7 @@
 #include <string>
 
 #include "aqua/algorithms.hpp"
+#include "core/config.hpp"
 #include "dd/simulator.hpp"
 #include "sim/simulator.hpp"
 
@@ -44,8 +45,12 @@ class ScopedGcThreshold {
  public:
   explicit ScopedGcThreshold(std::size_t threshold) {
     setenv("QTC_DD_GC_THRESHOLD", std::to_string(threshold).c_str(), 1);
+    config::reload();
   }
-  ~ScopedGcThreshold() { unsetenv("QTC_DD_GC_THRESHOLD"); }
+  ~ScopedGcThreshold() {
+    unsetenv("QTC_DD_GC_THRESHOLD");
+    config::reload();
+  }
 };
 
 QuantumCircuit ghz_like3() {

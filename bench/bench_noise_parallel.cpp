@@ -152,9 +152,12 @@ void BM_TrajectoryRun4T(benchmark::State& state) {
 void BM_TrajectoryRun4TNoFusion(benchmark::State& state) {
   BM_TrajectoryRun(state, 4, false);
 }
-BENCHMARK(BM_TrajectoryRun1T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrajectoryRun4T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TrajectoryRun4TNoFusion)->Unit(benchmark::kMillisecond);
+// Wall time: the pool's workers run the shots, not the timed caller.
+BENCHMARK(BM_TrajectoryRun1T)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_TrajectoryRun4T)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_TrajectoryRun4TNoFusion)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_DensityMatrixEvolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -167,7 +170,8 @@ void BM_DensityMatrixEvolve(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityMatrixEvolve)
     ->DenseRange(5, 7, 1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_BackendRun(benchmark::State& state) {
   // Full pipeline: transpile for QX4, attach the calibration-derived noise
@@ -181,7 +185,7 @@ void BM_BackendRun(benchmark::State& state) {
     benchmark::DoNotOptimize(backend.run(qc, options).shots);
   state.counters["shots"] = options.shots;
 }
-BENCHMARK(BM_BackendRun)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BackendRun)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

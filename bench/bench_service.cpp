@@ -147,7 +147,7 @@ void BM_ServiceMixedFleet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 48);
 }
 BENCHMARK(BM_ServiceMixedFleet)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// The submit/poll/result round trip for a single job — the per-request
 /// dispatch overhead the service adds over a bare exec::execute.
@@ -165,7 +165,8 @@ void BM_ServiceSingleJobLatency(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServiceSingleJobLatency)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceSingleJobLatency)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Batching on vs off on the same VQE-heavy fleet: what the structural
 /// batcher is worth end to end.
@@ -185,7 +186,7 @@ void BM_ServiceVQEMixBatching(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 48);
 }
 BENCHMARK(BM_ServiceVQEMixBatching)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

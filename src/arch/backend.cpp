@@ -12,24 +12,24 @@ int Backend::pair_edge_index(int control, int target) const {
   // coupling map's dense edge-index table (the old implementation scanned
   // the whole edge list and matched either orientation, returning the wrong
   // direction's calibration on directed maps).
-  int i = coupling_.edge_index(control, target);
-  if (i < 0) i = coupling_.edge_index(target, control);
+  int i = coupling_map().edge_index(control, target);
+  if (i < 0) i = coupling_map().edge_index(target, control);
   return i;
 }
 
 double Backend::cx_error(int control, int target) const {
   const int i = pair_edge_index(control, target);
   if (i < 0) throw std::invalid_argument("cx_error: pair not in coupling map");
-  return calib_.cx_error[i];
+  return calibration().cx_error[i];
 }
 
 double Backend::cx_duration(int control, int target) const {
   const int i = pair_edge_index(control, target);
   if (i < 0)
     throw std::invalid_argument("cx_duration: pair not in coupling map");
-  if (static_cast<std::size_t>(i) < calib_.cx_duration_us.size())
-    return calib_.cx_duration_us[i];
-  return calib_.gate_time_cx_us;
+  if (static_cast<std::size_t>(i) < calibration().cx_duration_us.size())
+    return calibration().cx_duration_us[i];
+  return calibration().gate_time_cx_us;
 }
 
 Calibration default_calibration(const CouplingMap& map) {

@@ -5,6 +5,7 @@
 // device handle returned by IBMQ.get_backend(...) in the paper's Sec. IV.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,18 +42,22 @@ enum class BasisSet {
   EcrRzSx,
 };
 
+/// Immutable value type. The coupling map and calibration (with the
+/// coupling map's n x n distance and edge-index tables) live in one shared
+/// block, so copying a Backend — once per submitted service job — is a
+/// reference-count bump, never a deep copy of a heavy-hex device.
 class Backend {
  public:
   Backend(CouplingMap coupling, Calibration calibration,
           BasisSet basis = BasisSet::UCX)
-      : coupling_(std::move(coupling)),
-        calib_(std::move(calibration)),
+      : device_(std::make_shared<const Device>(
+            Device{std::move(coupling), std::move(calibration)})),
         basis_(basis) {}
 
-  const std::string& name() const { return coupling_.name(); }
-  int num_qubits() const { return coupling_.num_qubits(); }
-  const CouplingMap& coupling_map() const { return coupling_; }
-  const Calibration& calibration() const { return calib_; }
+  const std::string& name() const { return device_->coupling.name(); }
+  int num_qubits() const { return device_->coupling.num_qubits(); }
+  const CouplingMap& coupling_map() const { return device_->coupling; }
+  const Calibration& calibration() const { return device_->calibration; }
   BasisSet basis() const { return basis_; }
 
   /// Native gates. UCX devices implement U(theta,phi,lambda) and CX; named 1q
@@ -104,8 +109,11 @@ class Backend {
  private:
   int pair_edge_index(int control, int target) const;
 
-  CouplingMap coupling_;
-  Calibration calib_;
+  struct Device {
+    CouplingMap coupling;
+    Calibration calibration;
+  };
+  std::shared_ptr<const Device> device_;
   BasisSet basis_ = BasisSet::UCX;
 };
 

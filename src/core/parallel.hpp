@@ -33,7 +33,8 @@ inline constexpr std::uint64_t kSerialCutoff = std::uint64_t{1} << 12;
 inline constexpr std::uint64_t kReduceBlock = std::uint64_t{1} << 14;
 
 /// Worker threads to use: the programmatic override if set, else the
-/// QTC_NUM_THREADS environment variable, else std::thread::hardware_concurrency.
+/// QTC_NUM_THREADS environment variable, else std::thread::hardware_concurrency
+/// (both read once; see core/config.hpp).
 int num_threads();
 
 /// Override the thread count (n >= 1); 0 restores the env/hardware default.

@@ -59,7 +59,7 @@ struct MappingResult {
 /// prove a transpile-cache hit performed zero mapper runs.
 std::uint64_t mapper_run_count();
 
-/// Portfolio defaults, resolved from the environment on each run:
+/// Portfolio defaults from the knob registry (core/config.hpp):
 /// QTC_MAP_TRIALS (default 4, clamped to [1, 256]) and QTC_MAP_SEED
 /// (default 0xC0FFEE).
 int default_map_trials();

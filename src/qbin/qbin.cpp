@@ -1,9 +1,7 @@
 #include "qbin/qbin.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <istream>
@@ -13,6 +11,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/config.hpp"
 #include "core/gates.hpp"
 
 namespace qtc::qbin {
@@ -522,16 +521,6 @@ QuantumCircuit decode_payload(Cursor& cur) {
   return circuit;
 }
 
-std::atomic<int> g_fingerprint_override{-1};
-
-bool env_fingerprint_enabled() {
-  const char* s = std::getenv("QTC_QBIN");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -673,15 +662,10 @@ std::uint64_t structural_digest(const Bytes& payload) {
   return structural_digest(payload.data(), payload.size());
 }
 
-bool fingerprint_enabled() {
-  const int o = g_fingerprint_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return env_fingerprint_enabled();
-}
+bool fingerprint_enabled() { return config::enabled(config::Knob::Qbin); }
 
 void set_fingerprint_enabled(int enabled) {
-  g_fingerprint_override.store(enabled < 0 ? -1 : (enabled ? 1 : 0),
-                               std::memory_order_relaxed);
+  config::set_flag_override(config::Knob::Qbin, enabled);
 }
 
 }  // namespace qtc::qbin

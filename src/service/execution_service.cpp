@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "core/config.hpp"
 #include "core/parallel.hpp"
+#include "noise/noise_model.hpp"
 #include "transpiler/transpile_cache.hpp"
 
 namespace qtc::service {
@@ -19,21 +21,42 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-int env_int(const char* name, int fallback, int lo, int hi) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v < lo) return fallback;
-  return static_cast<int>(std::min<long>(v, hi));
-}
+/// A retained Done payload, stored flat. Every engine keys its counts by
+/// one character per clbit, so the keys pack back to back in one string
+/// next to their tallies: about one byte per clbit and four per outcome,
+/// where a histogram map node costs ~80 bytes per outcome.
+struct FlatCounts {
+  std::string keys;
+  std::vector<int> tallies;
+  std::size_t width = 0;
+  int shots = 0;
 
-bool env_flag(const char* name, bool fallback) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  const std::string v(s);
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
+  static FlatCounts pack(const sim::Counts& counts) {
+    FlatCounts flat;
+    flat.shots = counts.shots;
+    if (counts.histogram.empty()) return flat;
+    flat.width = counts.histogram.begin()->first.size();
+    flat.keys.reserve(flat.width * counts.histogram.size());
+    flat.tallies.reserve(counts.histogram.size());
+    for (const auto& [bits, n] : counts.histogram) {
+      if (bits.size() != flat.width)
+        throw std::logic_error("service: counts keys differ in width");
+      flat.keys += bits;
+      flat.tallies.push_back(n);
+    }
+    return flat;
+  }
+
+  sim::Counts unpack() const {
+    sim::Counts counts;
+    counts.shots = shots;
+    // Keys were packed in map order, so every insert lands at the end.
+    for (std::size_t i = 0; i < tallies.size(); ++i)
+      counts.histogram.emplace_hint(counts.histogram.end(),
+                                    keys.substr(i * width, width), tallies[i]);
+    return counts;
+  }
+};
 
 }  // namespace
 
@@ -56,38 +79,52 @@ const char* to_string(JobState state) {
 }
 
 int default_workers() {
-  return env_int("QTC_SERVICE_WORKERS", parallel::num_threads(), 1, 256);
+  const std::int64_t n = config::get(config::Knob::ServiceWorkers);
+  return n > 0 ? static_cast<int>(n) : parallel::num_threads();
 }
 
 int default_queue_cap() {
-  return env_int("QTC_SERVICE_QUEUE_CAP", 64, 1, 1 << 20);
+  return static_cast<int>(config::get(config::Knob::ServiceQueueCap));
 }
 
 int default_results_cap() {
-  return env_int("QTC_SERVICE_RESULTS_CAP", 1024, 1, 1 << 24);
+  return static_cast<int>(config::get(config::Knob::ServiceResultsCap));
 }
 
-bool default_batching() { return env_flag("QTC_SERVICE_BATCH", true); }
+bool default_batching() { return config::enabled(config::Knob::ServiceBatch); }
 
-/// One submitted job. The execution inputs (circuit, backend, noise copy)
-/// are only touched by the worker that claimed the job — everything else is
-/// guarded by the service mutex — and are released at the terminal
-/// transition so retained metadata records stay small.
+/// A job's execution inputs: one heap block, built before the service lock
+/// is taken, only touched by the worker that claimed the job, and freed at
+/// the terminal transition.
+struct ExecutionService::Inputs {
+  Inputs(QuantumCircuit&& c, const arch::Backend& b,
+         const exec::ExecuteOptions& o)
+      : circuit(std::move(c)), backend(b), options(o) {
+    if (o.noise_model) {
+      // Copy the caller's noise model so the job owns every input.
+      noise_copy = *o.noise_model;
+      options.noise_model = &*noise_copy;
+    }
+  }
+  QuantumCircuit circuit;
+  arch::Backend backend;
+  exec::ExecuteOptions options;
+  std::optional<noise::NoiseModel> noise_copy;  // options.noise_model target
+};
+
+/// One job's full record. Everything but `inputs` is guarded by the
+/// service mutex.
 struct ExecutionService::Job {
   std::uint64_t id = 0;
   std::string tenant;
-  QuantumCircuit circuit;
-  std::optional<arch::Backend> backend;
-  exec::ExecuteOptions options;
-  std::optional<noise::NoiseModel> noise_copy;  // options.noise_model target
-  std::uint64_t structural_key = 0;             // 0: never batched
+  std::unique_ptr<Inputs> inputs;  // null once terminal
+  std::uint64_t structural_key = 0;  // 0: never batched
 
   JobState state = JobState::Queued;
   bool cancel_requested = false;
   bool claimed = false;  // taken off a queue by a worker (counts in flight)
-  sim::Counts counts;
+  FlatCounts counts;     // Done only
   std::string error;
-  bool evicted = false;
 
   Clock::time_point submitted_at;
   std::optional<Clock::time_point> started_at;
@@ -179,21 +216,32 @@ JobHandle ExecutionService::submit(const qbin::Bytes& payload,
   return submit_with_key(std::move(circuit), backend, options, tenant, key);
 }
 
-JobHandle ExecutionService::reject_now(const std::string& tenant,
-                                       std::string reason) {
-  std::lock_guard<std::mutex> lock(mu_);
+ExecutionService::JobPtr ExecutionService::new_job_locked(
+    const std::string& tenant) {
   ++stats_.submitted;
-  ++stats_.rejected;
-  const std::uint64_t id = next_id_++;
   auto job = std::make_shared<Job>();
-  job->id = id;
+  job->id = next_id_++;
   job->tenant = tenant;
   job->submitted_at = Clock::now();
+  jobs_.emplace(job->id, job);
+  states_.push_back(JobState::Queued);
+  return job;
+}
+
+void ExecutionService::reject_locked(const JobPtr& job, std::string reason) {
+  ++stats_.rejected;
   job->state = JobState::Rejected;
   job->error = std::move(reason);
   job->completion_seq = ++completion_seq_;
-  jobs_[id] = job;
-  return JobHandle(this, id, false);
+  retain_locked(job);
+}
+
+JobHandle ExecutionService::reject_now(const std::string& tenant,
+                                       std::string reason) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const JobPtr job = new_job_locked(tenant);
+  reject_locked(job, std::move(reason));
+  return JobHandle(this, job->id, false);
 }
 
 JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
@@ -201,9 +249,11 @@ JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
                                             const exec::ExecuteOptions& options,
                                             const std::string& tenant,
                                             std::uint64_t key) {
+  // Copy the inputs before locking so contended submits only serialize on
+  // the bookkeeping. A rejected job's inputs are freed after the unlock.
+  auto inputs = std::make_unique<Inputs>(std::move(circuit), backend, options);
   std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  const std::uint64_t id = next_id_++;
+  const JobPtr job = new_job_locked(tenant);
 
   std::string reject_reason;
   if (stopping_) {
@@ -215,34 +265,17 @@ JobHandle ExecutionService::submit_with_key(QuantumCircuit&& circuit,
       reject_reason = "tenant '" + tenant + "' queue full (cap " +
                       std::to_string(queue_cap_) + ")";
   }
-
-  auto job = std::make_shared<Job>();
-  job->id = id;
-  job->tenant = tenant;
-  job->submitted_at = Clock::now();
-  jobs_[id] = job;
-
   if (!reject_reason.empty()) {
-    ++stats_.rejected;
-    job->state = JobState::Rejected;
-    job->error = std::move(reject_reason);
-    job->completion_seq = ++completion_seq_;
-    return JobHandle(this, id, false);
+    reject_locked(job, std::move(reject_reason));
+    return JobHandle(this, job->id, false);
   }
 
-  job->circuit = std::move(circuit);
-  job->backend = backend;
-  job->options = options;
-  if (options.noise_model) {
-    // Copy the caller's noise model so the job owns every execution input.
-    job->noise_copy = *options.noise_model;
-    job->options.noise_model = &*job->noise_copy;
-  }
+  job->inputs = std::move(inputs);
   job->structural_key = key;
   queues_[tenant].push_back(job);
   lock.unlock();
   work_cv_.notify_one();
-  return JobHandle(this, id, true);
+  return JobHandle(this, job->id, true);
 }
 
 ExecutionService::JobPtr ExecutionService::pop_next_locked() {
@@ -322,10 +355,13 @@ void ExecutionService::run_job(const JobPtr& job, bool batch_follower) {
   if (on_job_running_) on_job_running_(job->id);
 
   exec::ExecuteResult result;
+  FlatCounts counts;
   bool ok = false;
   std::string error;
   try {
-    result = exec::execute(job->circuit, *job->backend, job->options);
+    const Inputs& in = *job->inputs;
+    result = exec::execute(in.circuit, in.backend, in.options);
+    counts = FlatCounts::pack(result.counts);
     ok = true;
   } catch (const std::exception& e) {
     error = e.what();
@@ -335,7 +371,7 @@ void ExecutionService::run_job(const JobPtr& job, bool batch_follower) {
 
   std::lock_guard<std::mutex> lock(mu_);
   if (ok) {
-    job->counts = std::move(result.counts);
+    job->counts = std::move(counts);
     job->cache_hit = result.transpile_cache_hit;
     job->mapper_trials = result.mapper_trials;
     job->engine = sim::engine_name(result.engine);
@@ -362,17 +398,9 @@ void ExecutionService::finish_locked(const JobPtr& job, JobState state) {
       ++stats_.completed;
       if (job->cache_hit) ++stats_.cache_hits;
       ++served_[job->tenant];
-      done_fifo_.push_back(job->id);
-      while (done_fifo_.size() > static_cast<std::size_t>(results_cap_)) {
-        const JobPtr& oldest = jobs_.at(done_fifo_.front());
-        oldest->counts = sim::Counts{};
-        oldest->evicted = true;
-        ++stats_.evicted;
-        done_fifo_.pop_front();
-      }
       break;
     case JobState::Cancelled:
-      job->counts = sim::Counts{};
+      job->counts = FlatCounts{};
       ++stats_.cancelled;
       break;
     case JobState::Failed:
@@ -381,12 +409,22 @@ void ExecutionService::finish_locked(const JobPtr& job, JobState state) {
     default:
       break;  // unreachable: finish only moves to terminal states
   }
-  // Release the execution inputs — the retained record is metadata + payload.
-  job->circuit = QuantumCircuit{};
-  job->backend.reset();
-  job->noise_copy.reset();
+  job->inputs.reset();
+  retain_locked(job);
   if (job->claimed) --in_flight_;
   done_cv_.notify_all();
+}
+
+void ExecutionService::retain_locked(const JobPtr& job) {
+  retained_.push_back(job->id);
+  while (retained_.size() > static_cast<std::size_t>(results_cap_)) {
+    const std::uint64_t oldest = retained_.front();
+    retained_.pop_front();
+    auto it = jobs_.find(oldest);
+    states_[oldest - 1] = it->second->state;
+    jobs_.erase(it);
+    ++stats_.evicted;
+  }
 }
 
 JobResult ExecutionService::snapshot_locked(const Job& job) const {
@@ -394,9 +432,8 @@ JobResult ExecutionService::snapshot_locked(const Job& job) const {
   r.id = job.id;
   r.state = job.state;
   r.tenant = job.tenant;
-  r.counts = job.counts;
+  r.counts = job.counts.unpack();
   r.error = job.error;
-  r.evicted = job.evicted;
   r.queue_ms = job.queue_ms;
   r.run_ms = job.run_ms;
   r.transpile_cache_hit = job.cache_hit;
@@ -408,31 +445,38 @@ JobResult ExecutionService::snapshot_locked(const Job& job) const {
   return r;
 }
 
+ExecutionService::JobPtr ExecutionService::find_locked(std::uint64_t id) const {
+  auto it = jobs_.find(id);
+  if (it != jobs_.end()) return it->second;
+  if (id == 0 || id >= next_id_)
+    throw std::out_of_range("service: unknown job id " + std::to_string(id));
+  return nullptr;  // issued, then evicted
+}
+
 JobState ExecutionService::poll(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw std::out_of_range("service: unknown job id " + std::to_string(id));
-  return it->second->state;
+  const JobPtr job = find_locked(id);
+  return job ? job->state : states_[id - 1];
 }
 
 JobResult ExecutionService::wait(std::uint64_t id) const {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw std::out_of_range("service: unknown job id " + std::to_string(id));
-  const JobPtr job = it->second;
+  const JobPtr job = find_locked(id);
+  if (!job) {
+    JobResult r;
+    r.id = id;
+    r.state = states_[id - 1];
+    r.evicted = true;
+    return r;
+  }
   done_cv_.wait(lock, [&] { return is_terminal(job->state); });
   return snapshot_locked(*job);
 }
 
 bool ExecutionService::cancel(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw std::out_of_range("service: unknown job id " + std::to_string(id));
-  const JobPtr job = it->second;
-  if (is_terminal(job->state)) return false;
+  const JobPtr job = find_locked(id);
+  if (!job || is_terminal(job->state)) return false;
   if (job->state == JobState::Queued && !job->claimed) {
     // Still on its tenant's queue: pull it out and finish immediately.
     auto qit = queues_.find(job->tenant);
@@ -460,6 +504,7 @@ void ExecutionService::drain() const {
 ServiceStats ExecutionService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats s = stats_;
+  s.retained = jobs_.size();
   s.per_tenant_served.assign(served_.begin(), served_.end());
   return s;
 }

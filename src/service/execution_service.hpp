@@ -28,17 +28,19 @@
 // regardless of worker count, submission order or contention. The stress
 // suite (tests/test_service_stress.cpp) enforces exactly this property.
 //
-// Result store: terminal jobs keep their metadata (state, timings, cache and
-// mapper stats) for the service's lifetime, while the result *payloads*
-// (counts) live in a bounded FIFO store — once more than
-// QTC_SERVICE_RESULTS_CAP results are retained, the oldest completed
-// payloads are evicted (JobResult::evicted) so a service that runs forever
-// holds bounded memory.
+// Retention: a job's execution inputs (circuit, backend, options, noise
+// copy) are freed at its terminal transition. Its full record (metadata and
+// counts, stored flat) stays in a FIFO of the last QTC_SERVICE_RESULTS_CAP
+// terminal jobs — Done, Failed, Cancelled and Rejected alike. Past the cap
+// the oldest record collapses to its terminal state, one byte per id: poll
+// still reports the state, wait/result return {id, state, evicted = true}.
+// So a service that runs forever holds queued + in-flight + cap full
+// records, plus one byte per job ever issued.
 //
 // Knobs (house style: env default, programmatic override via ServiceConfig):
 //   QTC_SERVICE_WORKERS      worker threads (default: parallel::num_threads)
 //   QTC_SERVICE_QUEUE_CAP    per-tenant queue depth bound (default 64)
-//   QTC_SERVICE_RESULTS_CAP  retained result payloads (default 1024)
+//   QTC_SERVICE_RESULTS_CAP  full terminal records retained (default 1024)
 //   QTC_SERVICE_BATCH        structural batching on/off (default on)
 
 #include <condition_variable>
@@ -48,15 +50,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/backend.hpp"
 #include "core/circuit.hpp"
 #include "exec/execute.hpp"
-#include "noise/noise_model.hpp"
 #include "qbin/qbin.hpp"
 #include "sim/result.hpp"
 
@@ -64,15 +65,23 @@ namespace qtc::service {
 
 /// Lifecycle of a submitted job. Rejected is terminal-at-submit (admission
 /// control refused the job; it never entered a queue).
-enum class JobState { Queued, Running, Done, Cancelled, Failed, Rejected };
+enum class JobState : std::uint8_t {
+  Queued,
+  Running,
+  Done,
+  Cancelled,
+  Failed,
+  Rejected
+};
 
 const char* to_string(JobState state);
 inline bool is_terminal(JobState s) {
   return s != JobState::Queued && s != JobState::Running;
 }
 
-/// Snapshot of one job: terminal state, result payload (Done only, empty
-/// once evicted), error capture, and the per-job execution metadata.
+/// Snapshot of one job: terminal state, result payload (Done only), error
+/// capture, and the per-job execution metadata. An evicted record carries
+/// only id, state and `evicted`.
 struct JobResult {
   std::uint64_t id = 0;
   JobState state = JobState::Queued;
@@ -80,7 +89,7 @@ struct JobResult {
   sim::Counts counts;       // Done only; empty when `evicted`
   std::string error;        // Failed: what() of the execution error;
                             // Rejected: the admission-control reason
-  bool evicted = false;     // payload dropped by the bounded result store
+  bool evicted = false;     // record collapsed by the bounded result store
   double queue_ms = 0;      // submit -> first scheduled on a worker
   double run_ms = 0;        // scheduled -> terminal
   bool transpile_cache_hit = false;  // compilation served warm
@@ -104,10 +113,13 @@ struct ServiceStats {
   std::uint64_t completed = 0;  // reached Done
   std::uint64_t cancelled = 0;  // cancelled while queued or running
   std::uint64_t failed = 0;     // execution threw; error captured
-  std::uint64_t evicted = 0;    // result payloads dropped by the FIFO store
+  std::uint64_t evicted = 0;    // records collapsed by the FIFO store
   std::uint64_t batches = 0;    // structural batches with >= 2 jobs
   std::uint64_t batch_hits = 0;  // follower jobs claimed into a batch
   std::uint64_t cache_hits = 0;  // jobs whose compile was served warm
+  /// Full job records held right now: queued, in flight, and at most
+  /// results_cap terminal ones.
+  std::uint64_t retained = 0;
   /// Done-job count per tenant, sorted by tenant name.
   std::vector<std::pair<std::string, std::uint64_t>> per_tenant_served;
 };
@@ -172,7 +184,8 @@ class ExecutionService {
 
   /// Enqueue a job for `tenant`. The circuit, backend and (when set) the
   /// options' noise model are copied into the job, so the caller's objects
-  /// need not outlive the handle. Rejects synchronously — with the reason
+  /// need not outlive the handle. The copies are made before the service
+  /// lock is taken (a Backend copy shares its device tables). Rejects synchronously — with the reason
   /// on the returned handle — when the tenant's queue is at capacity.
   JobHandle submit(const QuantumCircuit& circuit, const arch::Backend& backend,
                    const exec::ExecuteOptions& options = {},
@@ -191,8 +204,9 @@ class ExecutionService {
                    const exec::ExecuteOptions& options = {},
                    const std::string& tenant = "default");
 
-  /// Current state of a job (Rejected for ids submit() refused; throws
-  /// std::out_of_range for ids this service never issued).
+  /// Current state of a job (Rejected for ids submit() refused; the terminal
+  /// state of evicted records; throws std::out_of_range for ids this
+  /// service never issued).
   JobState poll(std::uint64_t id) const;
   /// Block until terminal, then snapshot (same contract as JobHandle).
   JobResult wait(std::uint64_t id) const;
@@ -208,6 +222,7 @@ class ExecutionService {
   bool batching() const { return batching_; }
 
  private:
+  struct Inputs;
   struct Job;
   using JobPtr = std::shared_ptr<Job>;
 
@@ -220,6 +235,13 @@ class ExecutionService {
   /// Synchronously reject: records a terminal Rejected job (so the id is
   /// pollable and the stats ledger balances) and returns its handle.
   JobHandle reject_now(const std::string& tenant, std::string reason);
+  /// Issue the next id with a fresh record for `tenant`. Caller holds mu_.
+  JobPtr new_job_locked(const std::string& tenant);
+  /// Record a submit-time rejection. Caller holds mu_.
+  void reject_locked(const JobPtr& job, std::string reason);
+  /// Full record of `id`, or nullptr when it was evicted; throws
+  /// std::out_of_range for ids never issued. Caller holds mu_.
+  JobPtr find_locked(std::uint64_t id) const;
 
   void worker_loop();
   /// Pop the next job honoring the round-robin cursor; nullptr when all
@@ -229,9 +251,12 @@ class ExecutionService {
   /// Caller holds mu_.
   std::vector<JobPtr> claim_batch_locked(std::uint64_t key);
   void run_job(const JobPtr& job, bool batch_follower);
-  /// Move `job` to a terminal state, stamp metadata, store/evict the
-  /// payload, bump counters and wake waiters. Caller holds mu_.
+  /// Move `job` to a terminal state, stamp metadata, free its inputs, bump
+  /// counters and wake waiters. Caller holds mu_.
   void finish_locked(const JobPtr& job, JobState state);
+  /// Enter a terminal job into the retention FIFO and collapse the records
+  /// that fall past results_cap_. Caller holds mu_.
+  void retain_locked(const JobPtr& job);
   JobResult snapshot_locked(const Job& job) const;
 
   mutable std::mutex mu_;
@@ -247,11 +272,15 @@ class ExecutionService {
   std::uint64_t next_id_ = 1;
   std::uint64_t completion_seq_ = 0;
   int in_flight_ = 0;  // jobs claimed by a worker, not yet terminal
-  std::map<std::uint64_t, JobPtr> jobs_;  // every job ever issued
+  /// Full records: queued, in flight, and the retained terminal ones.
+  std::unordered_map<std::uint64_t, JobPtr> jobs_;
+  /// Terminal state of every issued id (index id - 1); read only once the
+  /// id's full record has been evicted.
+  std::vector<JobState> states_;
   /// Per-tenant FIFO queues, served round-robin in map (name) order.
   std::map<std::string, std::deque<JobPtr>> queues_;
   std::string rr_cursor_;  // last tenant served; next pass starts after it
-  std::deque<std::uint64_t> done_fifo_;  // Done jobs with a retained payload
+  std::deque<std::uint64_t> retained_;  // terminal ids, oldest first
   ServiceStats stats_;
   std::map<std::string, std::uint64_t> served_;  // Done per tenant
 

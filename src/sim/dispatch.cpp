@@ -2,27 +2,15 @@
 
 #include <array>
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/gates.hpp"
 #include "sim/stabilizer.hpp"
 
 namespace qtc::sim {
 
 namespace {
-
-std::atomic<int> g_enabled_override{-1};
-
-bool env_dispatch_enabled() {
-  const char* s = std::getenv("QTC_DISPATCH");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
 
 // The Clifford predicate is sim::is_clifford_op (stabilizer.hpp) — the same
 // source of truth StabilizerSimulator checks against, so a new Clifford form
@@ -53,14 +41,10 @@ const char* engine_name(Engine e) {
   return "statevector";
 }
 
-bool dispatch_enabled() {
-  const int forced = g_enabled_override.load(std::memory_order_relaxed);
-  return forced >= 0 ? forced != 0 : env_dispatch_enabled();
-}
+bool dispatch_enabled() { return config::enabled(config::Knob::Dispatch); }
 
 void set_dispatch_enabled(int enabled) {
-  g_enabled_override.store(enabled < 0 ? -1 : (enabled != 0),
-                           std::memory_order_relaxed);
+  config::set_flag_override(config::Knob::Dispatch, enabled);
 }
 
 CircuitProfile profile_circuit(const QuantumCircuit& circuit) {

@@ -1,14 +1,13 @@
 #include "sim/stabilizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "core/config.hpp"
 #include "core/parallel.hpp"
 #include "sim/simd.hpp"
 #include "sim/simulator.hpp"
@@ -487,16 +486,6 @@ std::vector<std::string> PackedStabilizerState::stabilizer_strings() const {
 
 namespace {
 
-std::atomic<int> g_packed_override{-1};
-
-bool env_stab_packed() {
-  const char* s = std::getenv("QTC_STAB_PACKED");
-  if (!s || !*s) return true;
-  std::string v(s);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
 /// Render clbits as a counts key (highest clbit leftmost, the format_bits
 /// convention) directly from the bit array, so registers wider than 64
 /// clbits never alias through a uint64 intermediate.
@@ -610,13 +599,11 @@ Counts run_tableau_once(const QuantumCircuit& circuit, std::uint64_t seed,
 }  // namespace
 
 bool stab_packed_enabled() {
-  const int forced = g_packed_override.load(std::memory_order_relaxed);
-  return forced >= 0 ? forced != 0 : env_stab_packed();
+  return config::enabled(config::Knob::StabPacked);
 }
 
 void set_stab_packed(int enabled) {
-  g_packed_override.store(enabled < 0 ? -1 : (enabled != 0),
-                          std::memory_order_relaxed);
+  config::set_flag_override(config::Knob::StabPacked, enabled);
 }
 
 Counts StabilizerSimulator::run(const QuantumCircuit& circuit, int shots) {

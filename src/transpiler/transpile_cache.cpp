@@ -1,10 +1,10 @@
 #include "transpiler/transpile_cache.hpp"
 
-#include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <utility>
 
+#include "core/config.hpp"
 #include "qbin/qbin.hpp"
 
 namespace qtc::transpiler {
@@ -155,15 +155,6 @@ std::uint64_t cache_key(const QuantumCircuit& circuit,
   return mix_key(structural_hash(circuit), backend, opts);
 }
 
-std::atomic<int> g_enabled_override{-1};
-
-bool env_enabled() {
-  const char* s = std::getenv("QTC_TRANSPILE_CACHE");
-  if (!s || !*s) return true;
-  const std::string v(s);
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
 }  // namespace
 
 TranspileCache& TranspileCache::global() {
@@ -172,14 +163,11 @@ TranspileCache& TranspileCache::global() {
 }
 
 bool TranspileCache::enabled() {
-  const int o = g_enabled_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return env_enabled();
+  return config::enabled(config::Knob::TranspileCache);
 }
 
 void TranspileCache::set_enabled(int enabled) {
-  g_enabled_override.store(enabled < 0 ? -1 : (enabled ? 1 : 0),
-                           std::memory_order_relaxed);
+  config::set_flag_override(config::Knob::TranspileCache, enabled);
 }
 
 TranspileResult TranspileCache::transpile(const QuantumCircuit& circuit,

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "aqua/algorithms.hpp"
+#include "core/config.hpp"
 #include "core/gates.hpp"
 #include "core/rng.hpp"
 #include "dd/package.hpp"
@@ -24,8 +25,12 @@ class ScopedGcThreshold {
  public:
   explicit ScopedGcThreshold(const char* value) {
     setenv("QTC_DD_GC_THRESHOLD", value, 1);
+    config::reload();
   }
-  ~ScopedGcThreshold() { unsetenv("QTC_DD_GC_THRESHOLD"); }
+  ~ScopedGcThreshold() {
+    unsetenv("QTC_DD_GC_THRESHOLD");
+    config::reload();
+  }
 };
 
 ::testing::AssertionResult bitwise_equal(const std::vector<cplx>& a,

@@ -19,6 +19,7 @@
 
 #include "arch/backend.hpp"
 #include "arch/coupling_map.hpp"
+#include "core/config.hpp"
 #include "core/gates.hpp"
 #include "core/matrix.hpp"
 #include "core/rng.hpp"
@@ -38,8 +39,12 @@ namespace {
 struct ScopedEnv {
   ScopedEnv(const char* name, const char* value) : name_(name) {
     setenv(name, value, 1);
+    config::reload();
   }
-  ~ScopedEnv() { unsetenv(name_); }
+  ~ScopedEnv() {
+    unsetenv(name_);
+    config::reload();
+  }
   const char* name_;
 };
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/config.hpp"
 #include "sim/simulator.hpp"
 #include "sim/statevector.hpp"
 
@@ -118,13 +119,16 @@ TEST(NumThreads, EnvVarAndOverridePrecedence) {
   ThreadCountGuard guard;
   parallel::set_num_threads(0);
   ASSERT_EQ(setenv("QTC_NUM_THREADS", "3", 1), 0);
+  config::reload();
   EXPECT_EQ(parallel::num_threads(), 3);
   parallel::set_num_threads(2);  // programmatic override beats the env
   EXPECT_EQ(parallel::num_threads(), 2);
   parallel::set_num_threads(0);
   ASSERT_EQ(setenv("QTC_NUM_THREADS", "garbage", 1), 0);
+  config::reload();
   EXPECT_GE(parallel::num_threads(), 1);  // malformed env falls back
   unsetenv("QTC_NUM_THREADS");
+  config::reload();
 }
 
 TEST(ParallelKernels, AmplitudesMatchSerialExactly) {

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -248,6 +250,107 @@ TEST(Service, ResultStoreEvictsOldestFifo) {
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.completed, 7u);
   EXPECT_EQ(stats.evicted, 4u);
+}
+
+TEST(Service, RetainedRecordsStayBoundedAndOldIdsStillPoll) {
+  const arch::Backend backend = arch::qx4_backend();
+  constexpr int kCap = 4;
+  ServiceConfig config;
+  config.workers = 2;
+  config.results_cap = kCap;
+  ExecutionService svc(config);
+
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < 10 * kCap; ++i) {
+    handles.push_back(
+        svc.submit(small_circuit(i % 2), backend, fast_options(300 + i), "t"));
+    // Queued and in-flight jobs hold records too; terminal ones are capped.
+    EXPECT_LE(svc.stats().retained, static_cast<std::uint64_t>(i + 1));
+  }
+  svc.drain();
+  const ServiceStats stats = svc.stats();
+  EXPECT_LE(stats.retained, static_cast<std::uint64_t>(kCap));
+  EXPECT_EQ(stats.evicted, static_cast<std::uint64_t>(9 * kCap));
+
+  int evicted = 0;
+  for (const JobHandle& h : handles) {
+    EXPECT_EQ(h.state(), JobState::Done) << "job " << h.id();
+    const auto r = h.result();
+    EXPECT_EQ(r.id, h.id());
+    EXPECT_EQ(r.state, JobState::Done);
+    if (r.evicted) {
+      ++evicted;
+      EXPECT_EQ(r.counts.shots, 0);
+      EXPECT_FALSE(h.cancel()) << "an evicted job is terminal";
+    } else {
+      EXPECT_EQ(r.counts.shots, 128);
+      EXPECT_EQ(r.tenant, "t");
+    }
+  }
+  EXPECT_EQ(evicted, 9 * kCap);
+  EXPECT_THROW(svc.poll(handles.back().id() + 1), std::out_of_range);
+}
+
+TEST(Service, FailedAndRejectedRecordsPastTheCapReadEvicted) {
+  const arch::Backend backend = arch::qx4_backend();
+  ServiceConfig config;
+  config.workers = 1;
+  config.results_cap = 2;
+  ExecutionService svc(config);
+
+  QuantumCircuit wide(8, 8);  // wider than QX4: execution fails
+  wide.h(0).measure_all();
+  JobHandle failed = svc.submit(wide, backend, fast_options(), "t");
+  ASSERT_EQ(failed.result().state, JobState::Failed);
+  const qbin::Bytes garbage = {0xde, 0xad, 0xbe, 0xef};
+  JobHandle rejected = svc.submit(garbage, backend, fast_options(), "t");
+  ASSERT_EQ(rejected.state(), JobState::Rejected);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(svc.submit(small_circuit(), backend, fast_options(), "t")
+                  .result()
+                  .state,
+              JobState::Done);
+  svc.drain();
+
+  EXPECT_EQ(failed.state(), JobState::Failed);
+  const auto rf = failed.result();
+  EXPECT_EQ(rf.state, JobState::Failed);
+  EXPECT_TRUE(rf.evicted);
+  EXPECT_TRUE(rf.error.empty()) << "an evicted record keeps only its state";
+  EXPECT_EQ(rejected.state(), JobState::Rejected);
+  EXPECT_TRUE(rejected.result().evicted);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.evicted, 2u);
+  EXPECT_EQ(stats.retained, 2u);
+}
+
+TEST(Service, BackendCopiesShareDeviceState) {
+  const arch::Backend source = arch::heavy_hex_backend(7);
+  const arch::Backend copy = source;
+  EXPECT_EQ(&copy.coupling_map(), &source.coupling_map());
+  EXPECT_EQ(&copy.calibration(), &source.calibration());
+  EXPECT_EQ(copy.name(), source.name());
+}
+
+TEST(Service, JobOutlivesTheCallersBackend) {
+  const QuantumCircuit qc = small_circuit();
+  const auto opts = fast_options(11);
+  const exec::ExecuteResult direct =
+      exec::execute(qc, arch::qx4_backend(), opts);
+  RunGate gate;
+  ServiceConfig config;
+  config.workers = 1;
+  config.on_job_running = [&](std::uint64_t id) { gate.arrive(id); };
+  ExecutionService svc(config);
+  std::optional<JobHandle> handle;
+  {
+    auto backend = std::make_unique<arch::Backend>(arch::qx4_backend());
+    handle = svc.submit(qc, *backend, opts, "t");
+  }  // the caller's Backend is gone before the job executes
+  gate.open();
+  const auto r = handle->result();
+  ASSERT_EQ(r.state, JobState::Done);
+  EXPECT_EQ(r.counts.histogram, direct.counts.histogram);
 }
 
 TEST(Service, AdmissionControlRejectsWithReason) {
