@@ -138,6 +138,7 @@ void Package::clear() {
   m_live_ = 0;
   v_unique_.clear();
   m_unique_.clear();
+  identity_.clear();
   add_cache_.invalidate();
   madd_cache_.invalidate();
   mulv_cache_.invalidate();
@@ -396,60 +397,81 @@ VEdge Package::make_state(const std::vector<cplx>& amplitudes) {
   return Builder{*this, amplitudes}.build(n_ - 1, 0);
 }
 
+MNode* Package::identity_below(int var) {
+  // Built once per package and pinned, so garbage collection keeps it and
+  // every gate reuses it instead of rebuilding the chain level by level.
+  while (static_cast<int>(identity_.size()) < var) {
+    const int v = static_cast<int>(identity_.size());
+    const MEdge below{v == 0 ? nullptr : identity_.back(), 1};
+    MNode* node = make_mnode(v, below, {}, {}, below).node;
+    inc_ref(node);
+    identity_.push_back(node);
+  }
+  return var == 0 ? nullptr : identity_[var - 1];
+}
+
 MEdge Package::make_identity() {
   maybe_collect();
-  MEdge below{nullptr, 1};
-  for (int v = 0; v < n_; ++v) below = make_mnode(v, below, {}, {}, below);
-  return below;
+  return {identity_below(n_), 1};
 }
 
 MEdge Package::make_gate(const Matrix& gate, const std::vector<int>& qubits) {
   const int k = static_cast<int>(qubits.size());
   if (gate.rows() != (std::size_t{1} << k) || gate.cols() != gate.rows())
     throw std::invalid_argument("make_gate: matrix/qubit-count mismatch");
-  std::vector<int> local(n_, -1);
+  // Gate qubits in ascending order, each with its gate-local bit.
+  std::vector<std::pair<int, int>> levels(k);
   for (int t = 0; t < k; ++t) {
     if (qubits[t] < 0 || qubits[t] >= n_)
       throw std::out_of_range("make_gate: qubit out of range");
-    if (local[qubits[t]] != -1)
-      throw std::invalid_argument("make_gate: duplicate qubit");
-    local[qubits[t]] = t;
+    levels[t] = {qubits[t], t};
   }
+  std::sort(levels.begin(), levels.end());
+  for (int j = 1; j < k; ++j)
+    if (levels[j].first == levels[j - 1].first)
+      throw std::invalid_argument("make_gate: duplicate qubit");
   maybe_collect();
-  // Recursive block construction: gate qubits branch into the 2x2 block of
-  // the gate matrix, all other qubits contribute identity blocks. Memoized
-  // on (level, accumulated gate-local row/col indices).
-  std::map<std::tuple<int, int, int>, MEdge> memo;
-  struct Builder {
-    Package& pkg;
-    const Matrix& m;
-    const std::vector<int>& local;
-    std::map<std::tuple<int, int, int>, MEdge>& memo;
-    MEdge build(int var, int r, int c) {
-      if (var < 0) {
-        const cplx entry = m(r, c);
-        return std::abs(entry) < 1e-15 ? MEdge{} : MEdge{nullptr, entry};
-      }
-      const auto key = std::make_tuple(var, r, c);
-      auto it = memo.find(key);
-      if (it != memo.end()) return it->second;
-      MEdge result;
-      const int t = local[var];
-      if (t < 0) {
-        MEdge below = build(var - 1, r, c);
-        result = pkg.make_mnode(var, below, {}, {}, below);
-      } else {
-        MEdge e[4];
-        for (int rb = 0; rb < 2; ++rb)
-          for (int cb = 0; cb < 2; ++cb)
-            e[rb * 2 + cb] = build(var - 1, r | (rb << t), c | (cb << t));
-        result = pkg.make_mnode(var, e[0], e[1], e[2], e[3]);
-      }
-      memo.emplace(key, result);
-      return result;
+  // Bottom-up block construction over a flat table of the gate's (row, col)
+  // entries. Below the lowest gate qubit every block is the identity chain
+  // scaled by one matrix entry. Each gate qubit then folds the four entries
+  // that differ only in its local row/col bit into one node, in place at the
+  // entry with that bit clear; the qubits in between and above contribute
+  // identity levels.
+  const std::size_t dim = gate.rows();
+  MNode* const chain = identity_below(k == 0 ? n_ : levels[0].first);
+  std::vector<MEdge> table(dim * dim);
+  for (std::size_t r = 0; r < dim; ++r)
+    for (std::size_t c = 0; c < dim; ++c) {
+      const cplx entry = gate(r, c);
+      if (std::abs(entry) >= 1e-15) table[r * dim + c] = {chain, entry};
     }
+  std::size_t folded = 0;  // gate-local bits already folded into nodes
+  const auto for_each_open = [&](auto&& visit) {
+    for (std::size_t r = 0; r < dim; ++r)
+      for (std::size_t c = 0; c < dim; ++c)
+        if (!(r & folded) && !(c & folded)) visit(r, c);
   };
-  return Builder{*this, gate, local, memo}.build(n_ - 1, 0, 0);
+  const auto wrap_identity = [&](int from, int to) {
+    for (int v = from; v < to; ++v)
+      for_each_open([&](std::size_t r, std::size_t c) {
+        MEdge& e = table[r * dim + c];
+        if (!e.is_zero()) e = make_mnode(v, e, {}, {}, e);
+      });
+  };
+  for (int j = 0; j < k; ++j) {
+    const auto [var, t] = levels[j];
+    if (j > 0) wrap_identity(levels[j - 1].first + 1, var);
+    const std::size_t bit = std::size_t{1} << t;
+    folded |= bit;
+    for_each_open([&](std::size_t r, std::size_t c) {
+      table[r * dim + c] = make_mnode(var, table[r * dim + c],
+                                      table[r * dim + (c | bit)],
+                                      table[(r | bit) * dim + c],
+                                      table[(r | bit) * dim + (c | bit)]);
+    });
+  }
+  if (k > 0) wrap_identity(levels[k - 1].first + 1, n_);
+  return table[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -470,9 +492,14 @@ VEdge Package::add_rec(const VEdge& a, const VEdge& b, int var) {
   y.w = canonical_zero_if_tiny(y.w);
   if (x.w == cplx{0, 0}) return y.w == cplx{0, 0} ? VEdge{} : y;
   if (y.w == cplx{0, 0}) return x;
-  if (var < 0) {
+  // Same node (the terminal included): w_x·p + w_y·p = (w_x + w_y)·p. Without
+  // this, adding two scaled copies of a shared sub-diagram re-walks all of it
+  // once per distinct weight ratio. The vector unique table is keyed exactly,
+  // so node identity is a function of edge values and the shortcut keeps
+  // results independent of garbage collection.
+  if (x.node == y.node) {
     const cplx s = canonical_zero_if_tiny(x.w + y.w);
-    return s == cplx{0, 0} ? VEdge{} : VEdge{nullptr, s};
+    return s == cplx{0, 0} ? VEdge{} : VEdge{x.node, s};
   }
   // NOTE: operands are deliberately NOT reordered by node address — address
   // order depends on allocation history, and the engine guarantees results

@@ -32,14 +32,20 @@
 //  * The four compute caches are fixed-size direct-mapped tables with slot
 //    replacement (QTC_DD_CT_BITS slots-log2, default 15), bounding cache
 //    memory at O(1); they are invalidated wholesale on every collection so
-//    no entry can outlive the nodes it references.
+//    no entry can outlive the nodes it references. Each is allocated at its
+//    first insert.
+//  * The identity chain under gates is built once and pinned.
 // Simulation results are bitwise independent of when (or whether) collection
 // runs: everything a statevector depends on is a pure function of edge
 // values, never of node addresses or allocation history — vector-land keys
 // compare weights exactly and make_vnode snaps child weights onto a dyadic
-// grid. Matrix nodes instead keep classic first-writer tolerance buckets
-// (adoption erases rounding drift, keeping verification miters compact);
-// that is safe because no statevector depends on a matrix-matrix product.
+// grid. Because the vector unique table is keyed exactly, two edges point at
+// the same node exactly when their sub-diagrams are bitwise equal, so the
+// same-node add shortcut ({p, w_x} + {p, w_y} = {p, w_x + w_y}) is also a
+// function of values. Matrix nodes instead keep classic first-writer
+// tolerance buckets (adoption erases rounding drift, keeping verification
+// miters compact); that is safe because no statevector depends on a
+// matrix-matrix product.
 
 #include <cstdint>
 #include <deque>
@@ -321,26 +327,31 @@ class Package {
   /// Fixed-size direct-mapped compute table with slot replacement: a
   /// colliding insert overwrites the previous occupant (counted as an
   /// eviction), bounding memory at `1 << bits` entries forever.
+  /// The slots are allocated at the first insert: a simulation never
+  /// touches the matrix-matrix tables, so it never pays to zero them.
   template <typename Value>
   class ComputeTable {
    public:
     void init(int bits, TableStats* table_stats, PackageStats* pkg_stats) {
-      slots_.assign(std::size_t{1} << bits, Slot{});
-      mask_ = slots_.size() - 1;
+      slots_.clear();
+      mask_ = (std::size_t{1} << bits) - 1;
       tstats_ = table_stats;
       pstats_ = pkg_stats;
     }
     const Value* lookup(const BinKey& k) const {
-      const Slot& s = slots_[BinKeyHash{}(k) & mask_];
-      if (s.valid && s.key == k) {
-        ++tstats_->hits;
-        ++pstats_->compute_hits;
-        return &s.val;
+      if (!slots_.empty()) {
+        const Slot& s = slots_[BinKeyHash{}(k) & mask_];
+        if (s.valid && s.key == k) {
+          ++tstats_->hits;
+          ++pstats_->compute_hits;
+          return &s.val;
+        }
       }
       ++tstats_->misses;
       return nullptr;
     }
     void insert(const BinKey& k, const Value& v) {
+      if (slots_.empty()) slots_.resize(mask_ + 1);
       Slot& s = slots_[BinKeyHash{}(k) & mask_];
       if (s.valid && !(s.key == k)) ++tstats_->evictions;
       s.key = k;
@@ -366,6 +377,8 @@ class Package {
   /// Normalizing node constructors (the only way nodes are created).
   VEdge make_vnode(int var, VEdge e0, VEdge e1);
   MEdge make_mnode(int var, MEdge e00, MEdge e01, MEdge e10, MEdge e11);
+  /// Identity node over qubits [0, var), or the terminal for var == 0.
+  MNode* identity_below(int var);
 
   VEdge add_rec(const VEdge& a, const VEdge& b, int var);
   MEdge add_rec(const MEdge& a, const MEdge& b, int var);
@@ -410,6 +423,8 @@ class Package {
   std::uint64_t generation_ = 0;  // bumped by clear(); stale refs go inert
   std::unordered_map<VKey, VNode*, VKeyHash> v_unique_;
   std::unordered_map<MKey, MNode*, MKeyHash> m_unique_;
+  /// identity_[v] is the pinned identity node at level v (built on demand).
+  std::vector<MNode*> identity_;
   ComputeTable<VEdge> add_cache_;
   ComputeTable<MEdge> madd_cache_;
   ComputeTable<VEdge> mulv_cache_;

@@ -64,17 +64,33 @@ std::vector<cplx> DDSimulator::statevector(const QuantumCircuit& circuit) {
 DDRunResult DDSimulator::run(const QuantumCircuit& circuit, int shots) {
   if (shots <= 0) throw std::invalid_argument("run: shots must be positive");
   require_measure_last(circuit, "dd::run");
+  // Run at the circuit's logical width: the package gets one level per
+  // active qubit (ascending), so idle wires of a wide device cost nothing.
+  // Counts are keyed by clbit and need no translation.
+  const std::vector<Qubit> active = circuit.active_qubits();
+  DDRunResult result;
+  if (active.empty()) {
+    result.counts.shots = shots;  // no gates, no measurements
+    return result;
+  }
+  std::vector<int> level(static_cast<std::size_t>(circuit.num_qubits()), -1);
+  for (std::size_t i = 0; i < active.size(); ++i)
+    level[static_cast<std::size_t>(active[i])] = static_cast<int>(i);
+  QuantumCircuit compact(static_cast<int>(active.size()), circuit.num_clbits());
   // Collect the measurement layer; everything else must be unitary.
   std::vector<std::pair<int, int>> qubit_to_clbit;
   for (const auto& op : circuit.ops()) {
-    if (op.kind == OpKind::Measure)
-      qubit_to_clbit.emplace_back(op.qubits[0], op.clbits[0]);
-    else if (op.kind == OpKind::Reset || op.conditioned())
+    if (op.kind == OpKind::Reset || op.conditioned())
       throw std::invalid_argument(
           "dd::run: reset/conditioned circuits are not supported");
+    if (op.kind == OpKind::Barrier) continue;
+    Operation relabeled = op;
+    for (Qubit& q : relabeled.qubits) q = level[static_cast<std::size_t>(q)];
+    if (op.kind == OpKind::Measure)
+      qubit_to_clbit.emplace_back(relabeled.qubits[0], op.clbits[0]);
+    compact.ops().push_back(std::move(relabeled));
   }
-  auto handle = simulate(circuit);
-  DDRunResult result;
+  auto handle = simulate(compact);
   result.final_nodes = handle.package->node_count(handle.state);
   const auto& stats = handle.package->stats();
   result.allocated_nodes =

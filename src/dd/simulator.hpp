@@ -50,6 +50,9 @@ class DDSimulator {
 
   /// Execute with sampling; measurements must form a final layer (no
   /// classical conditioning — mirror of the array simulator's fast path).
+  /// Runs at the circuit's logical width: the DD has one level per active
+  /// qubit (QuantumCircuit::active_qubits, ascending), so a sparse circuit
+  /// on a wide device fits, and the run statistics describe that DD.
   DDRunResult run(const QuantumCircuit& circuit, int shots = 1024);
 
   /// Final state as a DD, together with the package that owns it. The

@@ -4,7 +4,10 @@
 
 #include <cmath>
 
+#include "core/gates.hpp"
+#include "core/rng.hpp"
 #include "dd/simulator.hpp"
+#include "dd_blocks.hpp"
 #include "sim/simulator.hpp"
 
 namespace qtc::dd {
@@ -91,6 +94,64 @@ TEST(DDPackage, CxGateOnNonAdjacentQubits) {
   EXPECT_NEAR(std::abs(pkg.amplitude(out2, 0b100) - cplx(1, 0)), 0, 1e-12);
 }
 
+/// Dense reference of `gate` on `qubits` of an n-qubit register: identity
+/// on the other qubits, gate-local bit t = qubits[t].
+Matrix embedded_gate(const Matrix& gate, const std::vector<int>& qubits,
+                     int n) {
+  const std::size_t dim = std::size_t{1} << n;
+  std::size_t mask = 0;
+  for (int q : qubits) mask |= std::size_t{1} << q;
+  const auto local = [&](std::size_t index) {
+    std::size_t l = 0;
+    for (std::size_t t = 0; t < qubits.size(); ++t)
+      l |= ((index >> qubits[t]) & 1) << t;
+    return l;
+  };
+  Matrix out(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r)
+    for (std::size_t c = 0; c < dim; ++c)
+      if ((r & ~mask) == (c & ~mask)) out(r, c) = gate(local(r), local(c));
+  return out;
+}
+
+TEST(DDPackage, MakeGateMatchesDenseEmbeddingOnScatteredQubits) {
+  constexpr int n = 6;
+  Rng rng(29);
+  const auto dense = [&](int k) {
+    // Generic complex entries with some exact zeros.
+    Matrix m(std::size_t{1} << k, std::size_t{1} << k);
+    for (std::size_t r = 0; r < m.rows(); ++r)
+      for (std::size_t c = 0; c < m.cols(); ++c)
+        if (rng.bernoulli(0.8))
+          m(r, c) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    return m;
+  };
+  const std::vector<std::pair<Matrix, std::vector<int>>> cases = {
+      {u3_matrix(0.7, -1.1, 2.3), {0}},
+      {u3_matrix(2.9, 0.4, -0.6), {n - 1}},
+      {op_matrix(OpKind::H), {3}},
+      {op_matrix(OpKind::CX), {0, n - 1}},
+      {op_matrix(OpKind::CX), {n - 1, 0}},
+      {dense(2), {2, 4}},
+      {dense(2), {4, 1}},
+      {op_matrix(OpKind::CCX), {0, 3, n - 1}},
+      {dense(3), {n - 1, 2, 0}},
+      {dense(3), {1, 4, 3}},
+  };
+  for (const auto& [gate, qubits] : cases) {
+    Package pkg(n);
+    const Matrix built = pkg.to_matrix(pkg.make_gate(gate, qubits));
+    EXPECT_TRUE(built.approx_equal(embedded_gate(gate, qubits, n), 1e-12))
+        << "gate on " << qubits.size() << " qubits, first " << qubits[0];
+  }
+  // The identity chain below a gate is shared with make_identity.
+  Package pkg(n);
+  EXPECT_TRUE(pkg.to_matrix(pkg.make_identity())
+                  .approx_equal(Matrix::identity(std::size_t{1} << n), 0));
+  const MEdge high = pkg.make_gate(op_matrix(OpKind::X), {n - 1});
+  EXPECT_EQ(high.node->e[1].node, pkg.make_identity().node->e[0].node);
+}
+
 TEST(DDPackage, GateValidation) {
   Package pkg(2);
   EXPECT_THROW(pkg.make_gate(op_matrix(OpKind::H), {5}), std::out_of_range);
@@ -126,6 +187,21 @@ TEST(DDPackage, AdditionCancelsToZero) {
   b.w = -b.w;
   const VEdge sum = pkg.add(a, b);
   EXPECT_TRUE(sum.is_zero());
+}
+
+TEST(DDPackage, AddOfSameNodeSumsWeights) {
+  // add(v, c·v) is one weight sum on v's node: no compute-table traffic.
+  Package pkg(3);
+  std::vector<cplx> amps(8);
+  for (int i = 0; i < 8; ++i) amps[i] = {0.1 * (i + 1), -0.05 * i};
+  const VEdge v = pkg.make_state(amps);
+  const cplx c{0.3, -0.7};
+  const std::size_t misses = pkg.stats().add_table.misses;
+  const VEdge sum = pkg.add(v, VEdge{v.node, c * v.w});
+  EXPECT_EQ(sum.node, v.node);
+  EXPECT_NEAR(std::abs(sum.w - (1.0 + c) * v.w), 0, 1e-15);
+  EXPECT_EQ(pkg.stats().add_table.misses, misses);
+  EXPECT_TRUE(pkg.add(v, VEdge{v.node, -v.w}).is_zero());
 }
 
 TEST(DDPackage, InnerProductAndFidelity) {
@@ -329,6 +405,33 @@ TEST(DDSimulator, RejectsConditionedCircuits) {
   qc.x(0).c_if(0, 1);
   DDSimulator sim;
   EXPECT_THROW(sim.run(qc, 10), std::invalid_argument);
+}
+
+TEST(DDSimulator, FortyQubitBlockProductStaysCheapAndCorrect) {
+  // Eight independent 5-qubit blocks. Each gate on a high block adds scaled
+  // copies of the shared product below it; the same-node add makes that one
+  // weight sum, so the work stays linear in the gate count.
+  const std::vector<QuantumCircuit> blocks = dd_blocks::random_blocks(8, 41);
+  const QuantumCircuit qc = dd_blocks::side_by_side(blocks, true);
+  ASSERT_EQ(qc.num_qubits(), 40);
+  const std::size_t gates = qc.size() - 40;
+  auto handle = DDSimulator().simulate(qc);
+  EXPECT_LE(handle.package->stats().add_table.misses, 4 * gates);
+  const DDRunResult r = DDSimulator(5).run(qc, 4096);
+  EXPECT_EQ(r.counts.shots, 4096);
+  dd_blocks::expect_block_marginals(r.counts, blocks, qc.num_clbits());
+}
+
+TEST(DDSimulator, RunIgnoresIdleQubits) {
+  // The run has one DD level per active qubit: idle wires of a 100-qubit
+  // register (beyond the package's 62-level cap) cost nothing.
+  QuantumCircuit qc(100, 3);
+  qc.h(7).cx(7, 50).cx(50, 99);
+  qc.measure(7, 0).measure(50, 1).measure(99, 2);
+  const DDRunResult r = DDSimulator(3).run(qc, 256);
+  EXPECT_EQ(r.final_nodes, 5u);  // a 3-level GHZ diagram
+  EXPECT_EQ(r.counts.count("000") + r.counts.count("111"), 256);
+  EXPECT_GT(r.counts.count("111"), 0);
 }
 
 TEST(DDSimulator, MatrixDDOfFig1IsSmallerThanDenseMatrix) {

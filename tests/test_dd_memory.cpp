@@ -8,6 +8,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <set>
+#include <utility>
 
 #include "aqua/algorithms.hpp"
 #include "core/config.hpp"
@@ -15,6 +18,7 @@
 #include "core/rng.hpp"
 #include "dd/package.hpp"
 #include "dd/simulator.hpp"
+#include "dd_blocks.hpp"
 
 namespace qtc::dd {
 namespace {
@@ -178,6 +182,54 @@ TEST(GcInvariance, EquivalenceOfGcOnAndOffCountsOnGhz) {
     forced = sim.run(qc, 1024).counts;
   }
   EXPECT_EQ(off.histogram, forced.histogram);
+}
+
+/// Lockstep walk of two vector DDs from different packages: the same shape
+/// with bitwise-equal weights on every edge, so every amplitude the two
+/// states produce is bitwise equal too.
+::testing::AssertionResult same_dd_bitwise(
+    const VEdge& a, const VEdge& b,
+    std::set<std::pair<const VNode*, const VNode*>>& seen) {
+  if (std::memcmp(&a.w, &b.w, sizeof(cplx)) != 0)
+    return ::testing::AssertionFailure() << "edge weights differ";
+  if ((a.node == nullptr) != (b.node == nullptr))
+    return ::testing::AssertionFailure() << "terminal vs node";
+  if (a.node == nullptr || !seen.emplace(a.node, b.node).second)
+    return ::testing::AssertionSuccess();
+  if (a.node->var != b.node->var)
+    return ::testing::AssertionFailure() << "levels differ";
+  for (int i = 0; i < 2; ++i) {
+    auto r = same_dd_bitwise(a.node->e[i], b.node->e[i], seen);
+    if (!r) return r << " (level " << a.node->var << ", child " << i << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(GcInvariance, StatevectorBitwiseIdenticalOnBlockProduct) {
+  // Six independent 5-qubit blocks (30 qubits, too wide for to_vector):
+  // the same-node add shortcut runs on every gate of a high block, and
+  // must agree bit for bit with collection forced at every safe point.
+  const QuantumCircuit qc =
+      dd_blocks::side_by_side(dd_blocks::random_blocks(6, 23), false);
+  std::optional<DDSimulator::StateHandle> gc_off, gc_forced;
+  {
+    ScopedGcThreshold off("0");
+    gc_off = DDSimulator().simulate(qc);
+  }
+  {
+    ScopedGcThreshold forced("1");
+    gc_forced = DDSimulator().simulate(qc);
+  }
+  EXPECT_GT(gc_forced->package->stats().gc_runs, 0u);
+  std::set<std::pair<const VNode*, const VNode*>> seen;
+  EXPECT_TRUE(same_dd_bitwise(gc_off->state, gc_forced->state, seen));
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t basis = rng.index(std::uint64_t{1} << 30);
+    const cplx a = gc_off->package->amplitude(gc_off->state, basis);
+    const cplx b = gc_forced->package->amplitude(gc_forced->state, basis);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(cplx)), 0) << "basis " << basis;
+  }
 }
 
 // --- deep circuits: bounded live set, free-list reuse ------------------------

@@ -21,6 +21,7 @@
 
 #include "arch/backend.hpp"
 #include "arch/coupling_map.hpp"
+#include "dd_blocks.hpp"
 #include "exec/execute.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/dispatch.hpp"
@@ -173,6 +174,56 @@ TEST(Dispatch, SparseCircuitRunsOnDDEndToEnd) {
       exec::execute(qc, backend, noiseless_options(noiseless));
   EXPECT_EQ(r.engine, Engine::DecisionDiagram);
   EXPECT_EQ(sim::engine_runs(Engine::DecisionDiagram), 1u);
+}
+
+TEST(Dispatch, SparseEagleCircuitRunsOnDDAtLogicalWidth) {
+  // Six 5-qubit blocks hand-placed on rows of the 127-qubit Eagle device:
+  // 30 active qubits, far past the array engine and, at the device's full
+  // width, past the DD package's level cap. The DD engine runs the active
+  // qubits only.
+  const noise::NoiseModel noiseless;
+  const arch::Backend eagle = arch::heavy_hex_backend(7);
+  const arch::CouplingMap& map = eagle.coupling_map();
+  const std::vector<QuantumCircuit> blocks = dd_blocks::random_blocks(6, 97);
+  QuantumCircuit qc(eagle.num_qubits(), 30);
+  int next = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    // The next run of five consecutive, row-coupled qubits, leaving idle
+    // qubits between blocks.
+    int start = next;
+    const auto row_path = [&](int s) {
+      if (s + dd_blocks::kBlock > eagle.num_qubits()) return false;
+      for (int i = 0; i + 1 < dd_blocks::kBlock; ++i)
+        if (!map.connected(s + i, s + i + 1)) return false;
+      return true;
+    };
+    while (start + dd_blocks::kBlock <= eagle.num_qubits() && !row_path(start))
+      ++start;
+    ASSERT_TRUE(row_path(start)) << "no room for block " << b;
+    next = start + dd_blocks::kBlock + 7;
+    for (Operation op : blocks[b].ops()) {
+      for (Qubit& q : op.qubits) q += start;
+      if (op.kind == OpKind::CX && !map.has_edge(op.qubits[0], op.qubits[1])) {
+        // Against the calibrated direction: H-conjugate the reversed CX.
+        const int c = op.qubits[0], t = op.qubits[1];
+        qc.h(c).h(t).cx(t, c).h(c).h(t);
+        continue;
+      }
+      qc.append(op);
+    }
+    for (int i = 0; i < dd_blocks::kBlock; ++i)
+      qc.measure(start + i, dd_blocks::kBlock * static_cast<int>(b) + i);
+  }
+  ASSERT_EQ(qc.active_qubits().size(), 30u);
+  ASSERT_GT(qc.active_qubits().back(), 62);
+  sim::reset_engine_run_counters();
+  exec::ExecuteOptions opts = noiseless_options(noiseless);
+  opts.shots = 4096;
+  const exec::ExecuteResult r = exec::execute(qc, eagle, opts);
+  EXPECT_EQ(r.engine, Engine::DecisionDiagram);
+  EXPECT_EQ(sim::engine_runs(Engine::DecisionDiagram), 1u);
+  EXPECT_EQ(r.counts.shots, 4096);
+  dd_blocks::expect_block_marginals(r.counts, blocks, qc.num_clbits());
 }
 
 TEST(Dispatch, ExplicitOverrideBeatsTheDispatcher) {
